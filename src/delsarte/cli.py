@@ -3,7 +3,8 @@
 Thin shell over the library: parse literals and problem files, run
 solves, sweeps and checks, and emit deterministic JSON/CSV artifacts.
 Exit codes: 0 for a solved problem (or a completed check), 2 when the
-admissible class is empty, 1 for malformed input.
+admissible class is empty, 1 for malformed input, 3 when the solver
+fails.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .solver import (
     FULL,
     SAME,
     ProblemSpec,
+    SimplexError,
     Solution,
     solve,
     solve_discretized,
@@ -41,6 +43,7 @@ from .solver import (
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_CLASS_EMPTY = 2
+EXIT_SOLVER_ERROR = 3
 
 
 class InputError(Exception):
@@ -449,6 +452,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except SimplexError as exc:
+        print(f"error: solver failed: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_ERROR
 
 
 if __name__ == "__main__":

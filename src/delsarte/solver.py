@@ -21,7 +21,6 @@ exactly represented row data.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -40,8 +39,6 @@ MODES = ("general", "turan", "delsarte")
 
 FULL = "FULL"
 SAME = "SAME"
-
-_TRACE = False  # diagnostic pivot tracing
 
 
 class ClassEmptyProblem(Exception):
@@ -289,6 +286,73 @@ class RawOptimum:
     phase1_iterations: int
 
 
+def price_dantzig(rc: np.ndarray, allowed: np.ndarray, eps: float) -> int:
+    """Steepest reduced cost below -eps among allowed columns, first on
+    ties; -1 when none prices out."""
+    masked = np.where(allowed, rc, np.inf)
+    j = int(np.argmin(masked))
+    return j if masked[j] < -eps else -1
+
+
+def price_bland(rc: np.ndarray, allowed: np.ndarray, eps) -> int:
+    """First allowed column with reduced cost below -eps, or -1."""
+    hits = np.flatnonzero(allowed & (rc < -eps))
+    return int(hits[0]) if hits.size else -1
+
+
+def leave_harris(col: np.ndarray, rhs: np.ndarray, pivot_tol: float,
+                 slack: float, tiny: float) -> int:
+    """Harris two-pass ratio test.
+
+    Pass one takes the smallest ratio relaxed by ``slack`` over entries
+    above ``pivot_tol``; pass two takes, among the rows whose true ratio
+    is within that bound, the first with the largest entry.  When only
+    entries of at most ``pivot_tol`` remain, the first largest entry
+    above ``tiny`` is taken.  Returns -1 when no entry exceeds ``tiny``.
+    """
+    rows = np.flatnonzero(col > pivot_tol)
+    if rows.size == 0:
+        rows = np.flatnonzero(col > tiny)
+        return int(rows[np.argmax(col[rows])]) if rows.size else -1
+    a, b = col[rows], rhs[rows]
+    theta = ((b + slack) / a).min()
+    admissible = rows[b / a <= theta]
+    return int(admissible[np.argmax(col[admissible])])
+
+
+def leave_bland(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray, tols) -> int:
+    """Bland's leaving rule: the strict minimum ratio, ties broken by the
+    lowest basic variable index.  Entries above each tolerance of
+    ``tols`` are tried in turn, so tiny pivots are a last resort."""
+    for tol in tols:
+        rows = np.flatnonzero(col > tol)
+        if rows.size:
+            ratios = rhs[rows] / col[rows]
+            ties = rows[ratios == ratios.min()]
+            return int(ties[np.argmin(basis[ties])])
+    return -1
+
+
+def polish_row(rhs: np.ndarray, floor: float) -> int:
+    """Dual simplex leaving row: the first most negative right-hand side
+    below ``floor``, or -1 when the basis is primal feasible."""
+    i = int(np.argmin(rhs))
+    return i if rhs[i] < floor else -1
+
+
+def polish_col(row: np.ndarray, rc: np.ndarray, allowed: np.ndarray,
+               pivot_tol: float) -> int:
+    """Dual ratio test on a leaving row: among allowed entries below
+    -pivot_tol, the smallest rc / |a|, ties broken by the first largest
+    |a|.  Returns -1 when the row proves the program infeasible."""
+    cols = np.flatnonzero(allowed & (row < -pivot_tol))
+    if cols.size == 0:
+        return -1
+    ratios = rc[cols] / -row[cols]
+    ties = cols[ratios == ratios.min()]
+    return int(ties[np.argmax(np.abs(row[ties]))])
+
+
 def simplex_solve(lp: LinearProgram, max_iterations: int | None = None) -> RawOptimum:
     """Dense two-phase tableau simplex.
 
@@ -300,8 +364,10 @@ def simplex_solve(lp: LinearProgram, max_iterations: int | None = None) -> RawOp
     from the source data periodically so rounding from degenerate chains
     cannot accumulate.  At the end the true right-hand side is restored, a
     short dual-simplex pass repairs the perturbation-sized infeasibility,
-    and the primal loop re-certifies optimality.  The exact-rational path
-    runs pure Bland's rule on unperturbed data with no tolerances.
+    and the primal loop re-certifies optimality.  Each float pivot is one
+    in-place rank-1 update of the whole tableau.  The exact-rational path
+    runs pure Bland's rule on unperturbed data with no tolerances.  Every
+    selection rule takes the first index among equal candidates.
 
     Finite variable boxes guarantee boundedness; the admissible problems
     are never infeasible (the point mass at the identity is feasible), so
@@ -360,7 +426,7 @@ def simplex_solve(lp: LinearProgram, max_iterations: int | None = None) -> RawOp
     T = np.zeros((m, ncols + 1), dtype=dtype)
     if exact:
         T[:, :] = Fraction(0)
-    basis = [0] * m
+    basis = np.zeros(m, dtype=np.intp)
     for i, (_, dense, sense, rhs) in enumerate(rows):
         for j in range(nv):
             if dense[j] != zero:
@@ -372,6 +438,9 @@ def simplex_solve(lp: LinearProgram, max_iterations: int | None = None) -> RawOp
         basis[i] = unit_col[i]
 
     art_set = frozenset(artificial)
+    every_col = np.ones(ncols, dtype=bool)
+    not_art = every_col.copy()
+    not_art[artificial] = False
     iterations = 0
 
     # Deterministic degeneracy-breaking perturbation (float path): relax
@@ -389,13 +458,20 @@ def simplex_solve(lp: LinearProgram, max_iterations: int | None = None) -> RawOp
             elif senses[i] == ">=" and T[i, ncols] > delta:
                 T[i, ncols] -= delta
         source["data"] = T.copy()
+        update = np.empty_like(T)  # rank-1 update buffer, reused by every pivot
 
     def pivot(leave: int, enter: int) -> None:
         piv = T[leave, enter]
         T[leave] = T[leave] / piv
-        for i in range(m):
-            if i != leave and T[i, enter] != zero:
-                T[i] = T[i] - T[i, enter] * T[leave]
+        if exact:
+            for i in range(m):
+                if i != leave and T[i, enter] != zero:
+                    T[i] = T[i] - T[i, enter] * T[leave]
+        else:
+            col = T[:, enter].copy()
+            col[leave] = 0.0
+            np.multiply.outer(col, T[leave], out=update)
+            np.subtract(T, update, out=T)
         basis[leave] = enter
 
     def refactor() -> None:
@@ -428,71 +504,7 @@ def simplex_solve(lp: LinearProgram, max_iterations: int | None = None) -> RawOp
     pivot_tol = 1e-9  # float path never pivots on anything smaller
     harris_slack = 1e-9
 
-    def choose_leave_exact(enter: int) -> int:
-        leave = -1
-        best = None
-        for i in range(m):
-            a = T[i, enter]
-            if a > 0:
-                ratio = T[i, ncols] / a
-                if best is None or ratio < best:
-                    best = ratio
-                    leave = i
-                elif ratio == best and basis[i] < basis[leave]:
-                    leave = i
-        return leave
-
-    def choose_leave_float(enter: int) -> int:
-        # Harris two-pass ratio test: a small feasibility slack lets rows
-        # with tiny pivot entries be skipped, then the numerically largest
-        # admissible pivot is taken.
-        theta = None
-        for i in range(m):
-            a = T[i, enter]
-            if a > pivot_tol:
-                bound = (T[i, ncols] + harris_slack) / a
-                if theta is None or bound < theta:
-                    theta = bound
-        if theta is None:
-            # only tiny entries remain; take the largest of them
-            leave = -1
-            biggest = ratio_eps
-            for i in range(m):
-                a = T[i, enter]
-                if a > biggest:
-                    biggest = a
-                    leave = i
-            return leave
-        leave = -1
-        biggest = 0.0
-        for i in range(m):
-            a = T[i, enter]
-            if a > pivot_tol and T[i, ncols] / a <= theta and a > biggest:
-                biggest = a
-                leave = i
-        return leave
-
-    def choose_leave_bland(enter: int) -> int:
-        # Bland's leaving rule: strict minimum ratio, ties broken by the
-        # lowest basic variable index.  Entries above the pivot threshold
-        # are preferred; tiny ones are a last resort.
-        for tol in (pivot_tol, ratio_eps):
-            leave = -1
-            best = None
-            for i in range(m):
-                a = T[i, enter]
-                if a > tol:
-                    ratio = T[i, ncols] / a
-                    if best is None or ratio < best:
-                        best = ratio
-                        leave = i
-                    elif ratio == best and basis[i] < basis[leave]:
-                        leave = i
-            if leave >= 0:
-                return leave
-        return -1
-
-    def run_phase(cost: list, barred: frozenset[int]) -> int:
+    def run_phase(cost: list, allowed: np.ndarray) -> int:
         nonlocal iterations
         obj = build_obj(cost)
         steps = 0
@@ -500,27 +512,20 @@ def simplex_solve(lp: LinearProgram, max_iterations: int | None = None) -> RawOp
         bland_burst = 0  # remaining Bland-rule pivots of an anti-cycling burst
         limit = max_iterations or (2000 + 200 * (m + ncols))
         while True:
-            bland_pricing = exact or bland_burst > 0
-            enter = -1
-            if bland_pricing:
-                for j in range(ncols):
-                    if j not in barred and obj[j] < -eps:
-                        enter = j
-                        break
+            rc = obj[:ncols]
+            if exact or bland_burst > 0:
+                enter = price_bland(rc, allowed, eps)
             else:
-                best_rc = -eps
-                for j in range(ncols):
-                    if j not in barred and obj[j] < best_rc:
-                        best_rc = obj[j]
-                        enter = j
+                enter = price_dantzig(rc, allowed, eps)
             if enter < 0:
                 return steps
+            col, rhs = T[:, enter], T[:, ncols]
             if exact:
-                leave = choose_leave_exact(enter)
-            elif bland_pricing:
-                leave = choose_leave_bland(enter)
+                leave = leave_bland(col, rhs, basis, (zero,))
+            elif bland_burst > 0:
+                leave = leave_bland(col, rhs, basis, (pivot_tol, ratio_eps))
             else:
-                leave = choose_leave_float(enter)
+                leave = leave_harris(col, rhs, pivot_tol, harris_slack, ratio_eps)
             if leave < 0:
                 raise SimplexError("unbounded direction in a boxed program")
             entering_rc = obj[enter]
@@ -543,11 +548,6 @@ def simplex_solve(lp: LinearProgram, max_iterations: int | None = None) -> RawOp
                 if steps % refactor_period == 0:
                     refactor()
                     obj = build_obj(cost)
-            if _TRACE and steps % 2000 == 0:
-                print(
-                    f"trace: steps={steps} obj={float(obj[ncols]):.9f} "
-                    f"burst={bland_burst} stalled={stalled} enter={enter} leave={leave}"
-                )
             if steps > limit:
                 raise SimplexError("iteration limit exceeded")
 
@@ -556,7 +556,7 @@ def simplex_solve(lp: LinearProgram, max_iterations: int | None = None) -> RawOp
         cost1 = [zero] * ncols
         for j in artificial:
             cost1[j] = zero - 1
-        phase1_iterations = run_phase(cost1, frozenset())
+        phase1_iterations = run_phase(cost1, every_col)
         refactor()
         infeas = sum((T[i, ncols] for i in range(m) if basis[i] in art_set), zero)
         feas_tol = zero if exact else 1e-7
@@ -578,15 +578,12 @@ def simplex_solve(lp: LinearProgram, max_iterations: int | None = None) -> RawOp
     for j in range(nv):
         cost2[j] = lp.objective[j] if lp.maximize else -lp.objective[j]
     for attempt in range(4):
-        run_phase(cost2, art_set)
+        run_phase(cost2, not_art)
         if exact:
             break
         refactor()
         obj = build_obj(cost2)
-        worst = min(
-            (obj[j] for j in range(ncols) if j not in art_set), default=zero
-        )
-        if worst >= -1e-8:
+        if price_dantzig(obj[:ncols], not_art, 1e-8) < 0:
             break
     else:
         raise SimplexError("optimality not reached after refactorization")
@@ -602,27 +599,10 @@ def simplex_solve(lp: LinearProgram, max_iterations: int | None = None) -> RawOp
         polish_limit = 4 * m + 50
         polish = 0
         while True:
-            leave = -1
-            worst_rhs = -1e-11
-            for i in range(m):
-                if T[i, ncols] < worst_rhs:
-                    worst_rhs = T[i, ncols]
-                    leave = i
+            leave = polish_row(T[:, ncols], -1e-11)
             if leave < 0:
                 break
-            enter = -1
-            best_ratio = None
-            for j in range(ncols):
-                if j in art_set:
-                    continue
-                a = T[leave, j]
-                if a < -pivot_tol:
-                    ratio = obj[j] / (-a)
-                    if best_ratio is None or ratio < best_ratio or (
-                        ratio == best_ratio and abs(a) > abs(T[leave, enter])
-                    ):
-                        best_ratio = ratio
-                        enter = j
+            enter = polish_col(T[leave, :ncols], obj[:ncols], not_art, pivot_tol)
             if enter < 0:
                 raise SimplexError("dual polish found an infeasible row")
             entering_rc = obj[enter]
@@ -634,14 +614,11 @@ def simplex_solve(lp: LinearProgram, max_iterations: int | None = None) -> RawOp
             if polish > polish_limit:
                 raise SimplexError("dual polish did not converge")
         for attempt in range(4):
-            run_phase(cost2, art_set)
+            run_phase(cost2, not_art)
             refactor()
             obj = build_obj(cost2)
-            worst = min(
-                (obj[j] for j in range(ncols) if j not in art_set), default=zero
-            )
-            feasible = all(T[i, ncols] >= -1e-9 for i in range(m))
-            if worst >= -1e-8 and feasible:
+            optimal = price_dantzig(obj[:ncols], not_art, 1e-8) < 0
+            if optimal and (T[:, ncols] >= -1e-9).all():
                 break
         else:
             raise SimplexError("optimality not reached on the restored data")
@@ -696,7 +673,6 @@ class DualCertificate:
 @dataclass(frozen=True)
 class SolveStats:
     iterations: int
-    pivots: int
     phase1_iterations: int
     runtime: float
 
@@ -771,7 +747,7 @@ def solve(spec: ProblemSpec, formulation: str = "primal") -> Solution:
             extremal_values_exact=None,
             dual_certificate=None,
             gap=0.0,
-            stats=SolveStats(0, 0, 0, time.perf_counter() - start),
+            stats=SolveStats(0, 0, time.perf_counter() - start),
             formulation=formulation,
             lp=None,
             var_values=None,
@@ -813,8 +789,7 @@ def solve(spec: ProblemSpec, formulation: str = "primal") -> Solution:
         dual_certificate=certificate,
         gap=gap,
         stats=SolveStats(
-            raw.iterations, raw.iterations, raw.phase1_iterations,
-            time.perf_counter() - start,
+            raw.iterations, raw.phase1_iterations, time.perf_counter() - start
         ),
         formulation=formulation,
         lp=lp,
@@ -1017,10 +992,8 @@ def sweep(
     mode: str = "turan",
     arithmetic: str = FLOAT,
     tolerance: float = 1e-9,
-    max_workers: int | None = None,
 ) -> ConvergenceTable:
-    """One solve per grid count; results are ordered by grid count."""
-    grids = list(grids)
+    """One solve per grid count, in the order given."""
     circumference = Fraction(circumference)
 
     def run(n: int) -> SweepRow:
@@ -1040,9 +1013,4 @@ def sweep(
             value_exact=sol.value_exact,
         )
 
-    if len(grids) <= 1:
-        rows = [run(n) for n in grids]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers or min(4, len(grids))) as pool:
-            rows = list(pool.map(run, grids))
-    return ConvergenceTable(tuple(rows))
+    return ConvergenceTable(tuple(run(n) for n in grids))

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from delsarte import cli
 from delsarte.cli import emit_figure_data, main, parse_discrete_set
 from delsarte.groups import FiniteAbelianGroup
 from delsarte.harmonic import fejer_kernel
+from delsarte.solver import SimplexError
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +63,21 @@ def test_solve_malformed_inputs_exit_one(tmp_path, capsys):
     )
     assert code == 1
     assert "omega_plus" in err
+
+
+def test_solve_solver_failure_exits_three(tmp_path, capsys, monkeypatch):
+    def fail(spec, formulation="primal"):
+        raise SimplexError("iteration limit exceeded")
+
+    monkeypatch.setattr(cli, "solve", fail)
+    code, stdout, err = run_cli(
+        capsys,
+        "solve", "--group", "Z8", "--omega-plus", "{-1,0,1}", "--out", str(tmp_path),
+    )
+    assert code == cli.EXIT_SOLVER_ERROR == 3
+    assert stdout == ""
+    assert err == "error: solver failed: iteration limit exceeded\n"
+    assert not (tmp_path / "result.json").exists()
 
 
 def test_solve_problem_file_round_trip(tmp_path, capsys):

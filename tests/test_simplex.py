@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delsarte.discretize import TorusSpec
+from delsarte.classes import SymmetricSet
+from delsarte.discretize import TorusSpec, sample_set
 from delsarte.realsets import parse_real_set
 from delsarte.solver import (
     EXACT,
@@ -14,6 +17,12 @@ from delsarte.solver import (
     LinearProgram,
     LPRow,
     ProblemSpec,
+    leave_bland,
+    leave_harris,
+    polish_col,
+    polish_row,
+    price_bland,
+    price_dantzig,
     simplex_solve,
     solve,
     solve_discretized,
@@ -184,3 +193,175 @@ def test_general_mode_with_disjoint_sets_battery():
         assert scipy_value(sol.lp) == pytest.approx(
             sol.value / float(group.weight), abs=1e-7
         )
+
+
+# -- selection rules against plain-loop references ---------------------------
+#
+# The references are plain per-index loops; the numpy rules must pick
+# exactly the same index, including on exact ties.
+
+PIVOT_TOL, HARRIS_SLACK, TINY = 1e-9, 1e-9, 1e-11
+
+# Few distinct magnitudes so exact ratio ties are common; zeros, entries
+# between TINY and PIVOT_TOL and the thresholds themselves exercise the
+# fallbacks.  A right-hand side of 1e8 absorbs the Harris slack, so its
+# true ratio equals the relaxed bound.
+ENTRIES = st.sampled_from(
+    [0.0, -0.0, 1.0, 2.0, 0.5, 4.0, -1.0, -2.0, -0.5, 1e-9, -1e-9, 5e-10,
+     1e-10, -5e-10, 2e-12, 0.25]
+)
+RHS = st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.0, 1e-10, 4.0, 1e8])
+# Columns with no entry above PIVOT_TOL, which only the fallbacks can pivot on.
+SMALL_ENTRIES = st.sampled_from([0.0, -1.0, 1e-9, 5e-10, 1e-10, 2e-12])
+
+
+def ref_price_dantzig(rc, allowed, eps):
+    enter, best = -1, -eps
+    for j in range(len(rc)):
+        if allowed[j] and rc[j] < best:
+            best, enter = rc[j], j
+    return enter
+
+
+def ref_price_bland(rc, allowed, eps):
+    for j in range(len(rc)):
+        if allowed[j] and rc[j] < -eps:
+            return j
+    return -1
+
+
+def ref_leave_harris(col, rhs):
+    theta = None
+    for i in range(len(col)):
+        if col[i] > PIVOT_TOL:
+            bound = (rhs[i] + HARRIS_SLACK) / col[i]
+            if theta is None or bound < theta:
+                theta = bound
+    leave = -1
+    if theta is None:
+        biggest = TINY
+        for i in range(len(col)):
+            if col[i] > biggest:
+                biggest, leave = col[i], i
+        return leave
+    biggest = 0.0
+    for i in range(len(col)):
+        a = col[i]
+        if a > PIVOT_TOL and rhs[i] / a <= theta and a > biggest:
+            biggest, leave = a, i
+    return leave
+
+
+def ref_leave_bland(col, rhs, basis, tols):
+    for tol in tols:
+        leave, best = -1, None
+        for i in range(len(col)):
+            if col[i] > tol:
+                ratio = rhs[i] / col[i]
+                if best is None or ratio < best:
+                    best, leave = ratio, i
+                elif ratio == best and basis[i] < basis[leave]:
+                    leave = i
+        if leave >= 0:
+            return leave
+    return -1
+
+
+def ref_polish_row(rhs, floor):
+    leave, worst = -1, floor
+    for i in range(len(rhs)):
+        if rhs[i] < worst:
+            worst, leave = rhs[i], i
+    return leave
+
+
+def ref_polish_col(row, rc, allowed):
+    enter, best = -1, None
+    for j in range(len(row)):
+        a = row[j]
+        if allowed[j] and a < -PIVOT_TOL:
+            ratio = rc[j] / (-a)
+            if best is None or ratio < best or (
+                ratio == best and abs(a) > abs(row[enter])
+            ):
+                best, enter = ratio, j
+    return enter
+
+
+def vectors(draw, *elements):
+    # Equal-length vectors, repeated whole half the time so that every
+    # candidate has an identical twin and only the first-index rule decides.
+    n = draw(st.integers(1, 8))
+    reps = draw(st.integers(1, 2))
+    return [np.tile(draw(st.lists(e, min_size=n, max_size=n)), reps) for e in elements]
+
+
+@st.composite
+def column_with_rhs(draw):
+    col, rhs = vectors(draw, draw(st.sampled_from([ENTRIES, SMALL_ENTRIES])), RHS)
+    basis = np.array(draw(st.permutations(range(3 * col.size)))[: col.size], dtype=np.intp)
+    return col, rhs, basis
+
+
+@st.composite
+def priced_row(draw):
+    rc_values = st.sampled_from([0.0, -0.0, -1.0, -2.0, 1.0, -5e-9, -1e-10, 0.5])
+    return vectors(draw, rc_values, ENTRIES, st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(priced_row())
+def test_pricing_rules_match_loops(data):
+    rc, _, allowed = data
+    for eps in (1e-9, 0.0):
+        assert price_dantzig(rc, allowed, eps) == ref_price_dantzig(rc, allowed, eps)
+        assert price_bland(rc, allowed, eps) == ref_price_bland(rc, allowed, eps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_with_rhs())
+def test_ratio_tests_match_loops(data):
+    col, rhs, basis = data
+    assert leave_harris(col, rhs, PIVOT_TOL, HARRIS_SLACK, TINY) == ref_leave_harris(
+        col, rhs
+    )
+    tols = (PIVOT_TOL, TINY)
+    assert leave_bland(col, rhs, basis, tols) == ref_leave_bland(col, rhs, basis, tols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_with_rhs())
+def test_exact_bland_rule_matches_loop(data):
+    col, rhs, basis = data
+    lift = np.vectorize(Fraction, otypes=[object])
+    col, rhs = lift(col), lift(rhs)
+    tols = (Fraction(0),)
+    assert leave_bland(col, rhs, basis, tols) == ref_leave_bland(col, rhs, basis, tols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(priced_row(), st.lists(RHS | ENTRIES | st.just(-1e-11), min_size=1, max_size=12))
+def test_dual_polish_rules_match_loops(data, rhs):
+    rc, row, allowed = data
+    rhs = np.array(rhs)
+    assert polish_row(rhs, -1e-11) == ref_polish_row(rhs, -1e-11)
+    assert polish_col(row, rc, allowed, PIVOT_TOL) == ref_polish_col(row, rc, allowed)
+
+
+@pytest.mark.parametrize(
+    "mode, formulation, iterations, phase1",
+    [
+        ("delsarte", "primal", 551, 132),
+        ("turan", "fourier", 165, 80),
+        ("delsarte", "fourier", 82, 13),
+    ],
+)
+def test_pivot_sequence_is_pinned(mode, formulation, iterations, phase1):
+    # [-1,1] on torus 8, N = 128.  Any change to a selection rule or to
+    # the pivot arithmetic moves these counts.
+    dp = sample_set(parse_real_set("[-1,1]"), TorusSpec(Fraction(8), 128))
+    plus = SymmetricSet.from_signed(dp.group, dp.signed_members)
+    build = ProblemSpec.turan if mode == "turan" else ProblemSpec.delsarte
+    sol = solve(build(dp.group, plus), formulation)
+    assert sol.certificate_verdict.ok
+    assert (sol.stats.iterations, sol.stats.phase1_iterations) == (iterations, phase1)
