@@ -11,8 +11,9 @@ orbit.
 Two formulations are built from the same pairing data: the primal form
 in function values and an independent Fourier-side form in spectrum
 values; their agreement is the standing cross-check.  A dense two-phase
-simplex with Bland's rule is the single solving engine; it pivots either
-in float64 or in exact rational arithmetic.  Rational pairing values are
+simplex is the single solving engine; it pivots either in float64
+(Dantzig pricing, Harris ratio test) or in exact rational arithmetic
+(Bland's rule, used by the exact path only).  Rational pairing values are
 used exactly where the phase admits one (denominators 1, 2, 3, 4, 6);
 other phases are lifted from float64, so "exact" means exact pivoting on
 exactly represented row data.
@@ -320,17 +321,16 @@ def leave_harris(col: np.ndarray, rhs: np.ndarray, pivot_tol: float,
     return int(admissible[np.argmax(col[admissible])])
 
 
-def leave_bland(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray, tols) -> int:
-    """Bland's leaving rule: the strict minimum ratio, ties broken by the
-    lowest basic variable index.  Entries above each tolerance of
-    ``tols`` are tried in turn, so tiny pivots are a last resort."""
-    for tol in tols:
-        rows = np.flatnonzero(col > tol)
-        if rows.size:
-            ratios = rhs[rows] / col[rows]
-            ties = rows[ratios == ratios.min()]
-            return int(ties[np.argmin(basis[ties])])
-    return -1
+def leave_bland(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> int:
+    """Bland's leaving rule over the positive entries: the strict minimum
+    ratio, ties broken by the lowest basic variable index; -1 when no
+    entry is positive."""
+    rows = np.flatnonzero(col > 0)
+    if rows.size == 0:
+        return -1
+    ratios = rhs[rows] / col[rows]
+    ties = rows[ratios == ratios.min()]
+    return int(ties[np.argmin(basis[ties])])
 
 
 def polish_row(rhs: np.ndarray, floor: float) -> int:
@@ -353,21 +353,21 @@ def polish_col(row: np.ndarray, rc: np.ndarray, allowed: np.ndarray,
     return int(ties[np.argmax(np.abs(row[ties]))])
 
 
-def simplex_solve(lp: LinearProgram, max_iterations: int | None = None) -> RawOptimum:
+def simplex_solve(lp: LinearProgram) -> RawOptimum:
     """Dense two-phase tableau simplex.
 
     The float path relaxes every inequality outward by a distinct
     deterministic epsilon (breaking degenerate ties without losing
     feasibility), prices by steepest reduced cost with a Harris two-pass
-    ratio test so it never pivots on tiny elements, runs bounded
-    Bland-rule bursts on objective plateaus, and refactorizes the tableau
-    from the source data periodically so rounding from degenerate chains
-    cannot accumulate.  At the end the true right-hand side is restored, a
-    short dual-simplex pass repairs the perturbation-sized infeasibility,
-    and the primal loop re-certifies optimality.  Each float pivot is one
-    in-place rank-1 update of the whole tableau.  The exact-rational path
-    runs pure Bland's rule on unperturbed data with no tolerances.  Every
-    selection rule takes the first index among equal candidates.
+    ratio test so it never pivots on tiny elements, and refactorizes the
+    tableau from the source data periodically so rounding from degenerate
+    chains cannot accumulate.  At the end the true right-hand side is
+    restored, a short dual-simplex pass repairs the perturbation-sized
+    infeasibility, and one primal pass re-certifies optimality; a basis
+    that still fails the check raises.  Each float pivot is one in-place
+    rank-1 update of the whole tableau.  Bland's rule is exact-only: the
+    exact-rational path runs it on unperturbed data with no tolerances.
+    Every selection rule takes the first index among equal candidates.
 
     Finite variable boxes guarantee boundedness; the admissible problems
     are never infeasible (the point mass at the identity is feasible), so
@@ -376,7 +376,6 @@ def simplex_solve(lp: LinearProgram, max_iterations: int | None = None) -> RawOp
     exact = lp.arithmetic == EXACT
     zero = Fraction(0) if exact else 0.0
     eps = Fraction(0) if exact else 1e-9
-    ratio_eps = Fraction(0) if exact else 1e-11
 
     nv = lp.num_vars
     lo = [b[0] for b in lp.var_bounds]
@@ -447,7 +446,6 @@ def simplex_solve(lp: LinearProgram, max_iterations: int | None = None) -> RawOp
     # every inequality outward by a distinct tiny amount.  The admissible
     # point mass stays feasible, exact ratio ties disappear, and the true
     # right-hand side is restored before the final polish.
-    source = {"data": None}
     if not exact:
         original_true = T.copy()
         pert_base = 1e-5 * (1.0 + max(abs(float(T[i, ncols])) for i in range(m)))
@@ -457,7 +455,7 @@ def simplex_solve(lp: LinearProgram, max_iterations: int | None = None) -> RawOp
                 T[i, ncols] += delta
             elif senses[i] == ">=" and T[i, ncols] > delta:
                 T[i, ncols] -= delta
-        source["data"] = T.copy()
+        source = T.copy()  # what refactor() rebuilds the tableau from
         update = np.empty_like(T)  # rank-1 update buffer, reused by every pivot
 
     def pivot(leave: int, enter: int) -> None:
@@ -481,9 +479,9 @@ def simplex_solve(lp: LinearProgram, max_iterations: int | None = None) -> RawOp
         # tableau; the certificate check downstream guards the result.
         if exact:
             return
-        B = source["data"][:, basis]
+        B = source[:, basis]
         try:
-            fresh = np.linalg.solve(B, source["data"])
+            fresh = np.linalg.solve(B, source)
         except np.linalg.LinAlgError:
             return
         T[:, :] = fresh
@@ -501,53 +499,36 @@ def simplex_solve(lp: LinearProgram, max_iterations: int | None = None) -> RawOp
         return obj
 
     refactor_period = 40
+    limit = 2000 + 200 * (m + ncols)  # pivots per phase
     pivot_tol = 1e-9  # float path never pivots on anything smaller
     harris_slack = 1e-9
+    tiny = 1e-11  # Harris falls back to entries above this, never below
 
     def run_phase(cost: list, allowed: np.ndarray) -> int:
         nonlocal iterations
         obj = build_obj(cost)
         steps = 0
-        stalled = 0
-        bland_burst = 0  # remaining Bland-rule pivots of an anti-cycling burst
-        limit = max_iterations or (2000 + 200 * (m + ncols))
         while True:
             rc = obj[:ncols]
-            if exact or bland_burst > 0:
-                enter = price_bland(rc, allowed, eps)
-            else:
-                enter = price_dantzig(rc, allowed, eps)
+            enter = (price_bland if exact else price_dantzig)(rc, allowed, eps)
             if enter < 0:
                 return steps
             col, rhs = T[:, enter], T[:, ncols]
             if exact:
-                leave = leave_bland(col, rhs, basis, (zero,))
-            elif bland_burst > 0:
-                leave = leave_bland(col, rhs, basis, (pivot_tol, ratio_eps))
+                leave = leave_bland(col, rhs, basis)
             else:
-                leave = leave_harris(col, rhs, pivot_tol, harris_slack, ratio_eps)
+                leave = leave_harris(col, rhs, pivot_tol, harris_slack, tiny)
             if leave < 0:
                 raise SimplexError("unbounded direction in a boxed program")
             entering_rc = obj[enter]
-            before = obj[ncols]
             pivot(leave, enter)
             if entering_rc != zero:
                 obj -= entering_rc * T[leave]
             steps += 1
             iterations += 1
-            if not exact:
-                if bland_burst > 0:
-                    bland_burst -= 1
-                progressed = obj[ncols] > before + 1e-13 * (1.0 + abs(before))
-                stalled = 0 if progressed else stalled + 1
-                # anti-cycling: long degenerate plateaus trigger a bounded
-                # burst of Bland's rule, then pricing reverts
-                if stalled > 60 and bland_burst == 0:
-                    bland_burst = min(2 * m, 400)
-                    stalled = 0
-                if steps % refactor_period == 0:
-                    refactor()
-                    obj = build_obj(cost)
+            if not exact and steps % refactor_period == 0:
+                refactor()
+                obj = build_obj(cost)
             if steps > limit:
                 raise SimplexError("iteration limit exceeded")
 
@@ -577,23 +558,14 @@ def simplex_solve(lp: LinearProgram, max_iterations: int | None = None) -> RawOp
     cost2 = [zero] * ncols
     for j in range(nv):
         cost2[j] = lp.objective[j] if lp.maximize else -lp.objective[j]
-    for attempt in range(4):
-        run_phase(cost2, not_art)
-        if exact:
-            break
-        refactor()
-        obj = build_obj(cost2)
-        if price_dantzig(obj[:ncols], not_art, 1e-8) < 0:
-            break
-    else:
-        raise SimplexError("optimality not reached after refactorization")
+    run_phase(cost2, not_art)
 
     if not exact:
         # Restore the true right-hand side.  The perturbed optimum basis is
         # dual feasible for the true data; a short dual-simplex pass repairs
-        # the (at most perturbation-sized) primal infeasibility, then the
-        # primal loop re-certifies optimality.
-        source["data"] = original_true
+        # the (at most perturbation-sized) primal infeasibility, then one
+        # primal pass and a refactorization re-certify optimality.
+        source = original_true
         refactor()
         obj = build_obj(cost2)
         polish_limit = 4 * m + 50
@@ -613,14 +585,11 @@ def simplex_solve(lp: LinearProgram, max_iterations: int | None = None) -> RawOp
             polish += 1
             if polish > polish_limit:
                 raise SimplexError("dual polish did not converge")
-        for attempt in range(4):
-            run_phase(cost2, not_art)
-            refactor()
-            obj = build_obj(cost2)
-            optimal = price_dantzig(obj[:ncols], not_art, 1e-8) < 0
-            if optimal and (T[:, ncols] >= -1e-9).all():
-                break
-        else:
+        run_phase(cost2, not_art)
+        refactor()
+        obj = build_obj(cost2)
+        optimal = price_dantzig(obj[:ncols], not_art, 1e-8) < 0
+        if not (optimal and (T[:, ncols] >= -1e-9).all()):
             raise SimplexError("optimality not reached on the restored data")
 
     # Final reduced-cost row for dual extraction.

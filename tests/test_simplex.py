@@ -321,12 +321,10 @@ def test_pricing_rules_match_loops(data):
 @settings(max_examples=300, deadline=None)
 @given(column_with_rhs())
 def test_ratio_tests_match_loops(data):
-    col, rhs, basis = data
+    col, rhs, _ = data
     assert leave_harris(col, rhs, PIVOT_TOL, HARRIS_SLACK, TINY) == ref_leave_harris(
         col, rhs
     )
-    tols = (PIVOT_TOL, TINY)
-    assert leave_bland(col, rhs, basis, tols) == ref_leave_bland(col, rhs, basis, tols)
 
 
 @settings(max_examples=200, deadline=None)
@@ -335,8 +333,7 @@ def test_exact_bland_rule_matches_loop(data):
     col, rhs, basis = data
     lift = np.vectorize(Fraction, otypes=[object])
     col, rhs = lift(col), lift(rhs)
-    tols = (Fraction(0),)
-    assert leave_bland(col, rhs, basis, tols) == ref_leave_bland(col, rhs, basis, tols)
+    assert leave_bland(col, rhs, basis) == ref_leave_bland(col, rhs, basis, (Fraction(0),))
 
 
 @settings(max_examples=300, deadline=None)
@@ -352,7 +349,7 @@ def test_dual_polish_rules_match_loops(data, rhs):
     "mode, formulation, iterations, phase1",
     [
         ("delsarte", "primal", 551, 132),
-        ("turan", "fourier", 165, 80),
+        ("turan", "fourier", 118, 64),
         ("delsarte", "fourier", 82, 13),
     ],
 )

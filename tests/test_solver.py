@@ -7,7 +7,7 @@ import pytest
 
 from _generators import scipy_reference_value
 from delsarte.classes import SymmetricSet, in_class
-from delsarte.discretize import TorusSpec
+from delsarte.discretize import TorusSpec, sample_set
 from delsarte.groups import FiniteAbelianGroup
 from delsarte.harmonic import dft
 from delsarte.realsets import parse_real_set
@@ -319,6 +319,28 @@ def test_sweep_sandwich_exact_at_puncture_grid():
     assert closed_sol.value_exact > 2
     assert open_sol.value_exact <= punct_sol.value_exact <= closed_sol.value_exact
     assert punct_sol.value_exact >= 1 - 3 * Fraction(1, 4)
+
+
+@pytest.mark.parametrize(
+    "mode, formulation, half",
+    [
+        ("turan", "fourier", "15/16"),
+        ("turan", "fourier", "17/16"),
+        ("turan", "fourier", "9/8"),
+        ("delsarte", "primal", "9/8"),
+    ],
+)
+def test_degenerate_torus_programs_solve(mode, formulation, half):
+    # Torus 8, N = 256: highly degenerate programs with long runs of
+    # zero-step pivots.  Each must end with a verified certificate at the
+    # HiGHS value.
+    dp = sample_set(parse_real_set(f"[-{half},{half}]"), TorusSpec(Fraction(8), 256))
+    plus = SymmetricSet.from_signed(dp.group, dp.signed_members)
+    build = ProblemSpec.turan if mode == "turan" else ProblemSpec.delsarte
+    spec = build(dp.group, plus)
+    sol = solve(spec, formulation)
+    assert sol.certificate_verdict.ok
+    assert sol.value == pytest.approx(scipy_reference_value(spec), rel=1e-8)
 
 
 def test_lp_rows_reference_valid_variables_and_finite_bounds():
