@@ -2,9 +2,10 @@
 
 Thin shell over the library: parse literals and problem files, run
 solves, sweeps and checks, and emit deterministic JSON/CSV artifacts.
-Exit codes: 0 for a solved problem (or a completed check), 2 when the
-admissible class is empty, 1 for malformed input, 3 when the solver
-fails.
+Exit codes: 0 for a solved problem with a verified dual certificate (or
+a completed check), 2 when the admissible class is empty, 1 for
+malformed input, 3 when the solver fails, 4 when a solve ends optimal
+but its certificate fails verification.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_CLASS_EMPTY = 2
 EXIT_SOLVER_ERROR = 3
+EXIT_UNCERTIFIED = 4
 
 
 class InputError(Exception):
@@ -147,6 +149,9 @@ def _emit_solution(sol: Solution, out_dir: Path) -> None:
     }
     if sol.value_exact is not None:
         payload["value_exact"] = sol.value_exact
+    verdict = sol.certificate_verdict
+    if verdict is not None and not verdict.ok:
+        payload["certificate_violations"] = verdict.violations
     _write_json(out_dir / "result.json", payload)
     if sol.extremal_function is not None:
         sol.extremal_function.to_csv(out_dir / "function.csv")
@@ -201,7 +206,13 @@ def _cmd_solve(args) -> int:
     if warning:
         print(f"warning: {warning}", file=sys.stderr)
     print(fmt_sig(sol.value))
-    return EXIT_OK if sol.status == "optimal" else EXIT_CLASS_EMPTY
+    if sol.status != "optimal":
+        return EXIT_CLASS_EMPTY
+    if not sol.certificate_verdict.ok:
+        for violation in sol.certificate_verdict.violations[:3]:
+            print(f"uncertified: {violation}", file=sys.stderr)
+        return EXIT_UNCERTIFIED
+    return EXIT_OK
 
 
 def _parse_group_arg(text: str) -> FiniteAbelianGroup:

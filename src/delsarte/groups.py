@@ -320,12 +320,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def contains_index(self, i: int) -> bool:
-        return i in self._member_set()
-
-    def _member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
-
     def is_proper(self) -> bool:
         return self.order < self.group.size
 
@@ -344,12 +338,6 @@ class ScalingMap:
 
     def apply_index(self, i: int) -> int:
         return self.permutation[i]
-
-    def apply(self, g: GroupElement) -> GroupElement:
-        return self.group.element(self.permutation[g.index])
-
-    def apply_index_set(self, indices: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.permutation[i] for i in indices)
 
 
 _GROUP_RE = re.compile(r"^Z(\d+)$", re.IGNORECASE)

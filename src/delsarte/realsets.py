@@ -96,10 +96,6 @@ class RealSet1D:
         return RealSet1D.interval(left, right, False, False)
 
     @staticmethod
-    def closed_interval(left: Rational, right: Rational) -> "RealSet1D":
-        return RealSet1D.interval(left, right, True, True)
-
-    @staticmethod
     def real_line() -> "RealSet1D":
         return RealSet1D((Interval(None, None, False, False),))
 

@@ -12,15 +12,16 @@ Two formulations are built from the same pairing data: the primal form
 in function values and an independent Fourier-side form in spectrum
 values; their agreement is the standing cross-check.  A dense two-phase
 simplex is the single solving engine; it pivots either in float64
-(Dantzig pricing, Harris ratio test) or in exact rational arithmetic
-(Bland's rule, used by the exact path only).  Rational pairing values are
-used exactly where the phase admits one (denominators 1, 2, 3, 4, 6);
-other phases are lifted from float64, so "exact" means exact pivoting on
-exactly represented row data.
+(Dantzig pricing, Harris ratio test) or in exact arithmetic on a
+fraction-free integer tableau (Bland's rule, used by the exact path
+only).  Rational pairing values are used exactly where the phase admits
+one (denominators 1, 2, 3, 4, 6); other phases are lifted from float64,
+so "exact" means exact pivoting on exactly represented row data.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -321,14 +322,19 @@ def leave_harris(col: np.ndarray, rhs: np.ndarray, pivot_tol: float,
     return int(admissible[np.argmax(col[admissible])])
 
 
+_fraction = np.frompyfunc(Fraction, 2, 1)
+
+
 def leave_bland(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> int:
     """Bland's leaving rule over the positive entries: the strict minimum
     ratio, ties broken by the lowest basic variable index; -1 when no
-    entry is positive."""
+    entry is positive.  Entries are exact (``Fraction`` or ``int``) and
+    ratios are compared as fractions, so integer numerators over positive
+    row denominators give the same choice as the rationals they encode."""
     rows = np.flatnonzero(col > 0)
     if rows.size == 0:
         return -1
-    ratios = rhs[rows] / col[rows]
+    ratios = _fraction(rhs[rows], col[rows])
     ties = rows[ratios == ratios.min()]
     return int(ties[np.argmin(basis[ties])])
 
@@ -365,74 +371,27 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     restored, a short dual-simplex pass repairs the perturbation-sized
     infeasibility, and one primal pass re-certifies optimality; a basis
     that still fails the check raises.  Each float pivot is one in-place
-    rank-1 update of the whole tableau.  Bland's rule is exact-only: the
-    exact-rational path runs it on unperturbed data with no tolerances.
+    rank-1 update of the whole tableau.  Exact-rational programs go to
+    ``_exact_simplex`` (Bland's rule on a fraction-free integer tableau).
     Every selection rule takes the first index among equal candidates.
 
     Finite variable boxes guarantee boundedness; the admissible problems
     are never infeasible (the point mass at the identity is feasible), so
     both failure modes raise rather than return.
     """
-    exact = lp.arithmetic == EXACT
-    zero = Fraction(0) if exact else 0.0
-    eps = Fraction(0) if exact else 1e-9
-
-    nv = lp.num_vars
-    lo = [b[0] for b in lp.var_bounds]
-    hi = [b[1] for b in lp.var_bounds]
-
-    # Shift to x = lo + xt with xt >= 0; upper bounds become explicit rows.
-    rows: list[tuple[tuple, list, str, object]] = []
-    for r in lp.rows:
-        dense = [zero] * nv
-        shift = zero
-        for j, a in r.coeffs:
-            dense[j] = a
-            shift += a * lo[j]
-        rows.append((r.label, dense, r.sense, r.rhs - shift))
-    for j in range(nv):
-        width = hi[j] - lo[j]
-        dense = [zero] * nv
-        dense[j] = zero + 1
-        rows.append((("box", lp.var_labels[j]), dense, "<=", width))
-
-    m = len(rows)
-    flipped = [False] * m
-    senses = []
-    for i, (_, dense, sense, rhs) in enumerate(rows):
-        if rhs < zero:
-            rows[i] = (rows[i][0], [-a for a in dense], _flip(sense), -rhs)
-            flipped[i] = True
-        senses.append(rows[i][2])
-
-    # Column layout: structural vars, then per-row one +e_i column (slack for
-    # <=, artificial for >= and =) and a -e_i surplus column for >= rows.
-    unit_col = [0] * m  # column index of the +e_i column of each row
-    surplus_col: dict[int, int] = {}
-    ncols = nv
-    artificial: list[int] = []
-    for i, sense in enumerate(senses):
-        if sense == ">=":
-            surplus_col[i] = ncols
-            ncols += 1
-    for i, sense in enumerate(senses):
-        unit_col[i] = ncols
-        if sense != "<=":
-            artificial.append(ncols)
-        ncols += 1
-
-    dtype = object if exact else float
-    T = np.zeros((m, ncols + 1), dtype=dtype)
-    if exact:
-        T[:, :] = Fraction(0)
+    if lp.arithmetic == EXACT:
+        return _exact_simplex(lp)
+    rows, flipped, surplus_col, unit_col, artificial, ncols = _standard_form(lp, 0.0)
+    nv, m = lp.num_vars, len(rows)
+    T = np.zeros((m, ncols + 1))
     basis = np.zeros(m, dtype=np.intp)
-    for i, (_, dense, sense, rhs) in enumerate(rows):
+    for i, (dense, sense, rhs) in enumerate(rows):
         for j in range(nv):
-            if dense[j] != zero:
+            if dense[j] != 0.0:
                 T[i, j] = dense[j]
         if i in surplus_col:
-            T[i, surplus_col[i]] = zero - 1
-        T[i, unit_col[i]] = zero + 1
+            T[i, surplus_col[i]] = -1.0
+        T[i, unit_col[i]] = 1.0
         T[i, ncols] = rhs
         basis[i] = unit_col[i]
 
@@ -442,34 +401,27 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     not_art[artificial] = False
     iterations = 0
 
-    # Deterministic degeneracy-breaking perturbation (float path): relax
-    # every inequality outward by a distinct tiny amount.  The admissible
-    # point mass stays feasible, exact ratio ties disappear, and the true
+    # Deterministic degeneracy-breaking perturbation: relax every
+    # inequality outward by a distinct tiny amount.  The admissible point
+    # mass stays feasible, exact ratio ties disappear, and the true
     # right-hand side is restored before the final polish.
-    if not exact:
-        original_true = T.copy()
-        pert_base = 1e-5 * (1.0 + max(abs(float(T[i, ncols])) for i in range(m)))
-        for i in range(m):
-            delta = pert_base * (i + 1) / m
-            if senses[i] == "<=":
-                T[i, ncols] += delta
-            elif senses[i] == ">=" and T[i, ncols] > delta:
-                T[i, ncols] -= delta
-        source = T.copy()  # what refactor() rebuilds the tableau from
-        update = np.empty_like(T)  # rank-1 update buffer, reused by every pivot
+    original_true = T.copy()
+    pert_base = 1e-5 * (1.0 + max(abs(float(T[i, ncols])) for i in range(m)))
+    for i, (_, sense, _) in enumerate(rows):
+        delta = pert_base * (i + 1) / m
+        if sense == "<=":
+            T[i, ncols] += delta
+        elif sense == ">=" and T[i, ncols] > delta:
+            T[i, ncols] -= delta
+    source = T.copy()  # what refactor() rebuilds the tableau from
+    update = np.empty_like(T)  # rank-1 update buffer, reused by every pivot
 
     def pivot(leave: int, enter: int) -> None:
-        piv = T[leave, enter]
-        T[leave] = T[leave] / piv
-        if exact:
-            for i in range(m):
-                if i != leave and T[i, enter] != zero:
-                    T[i] = T[i] - T[i, enter] * T[leave]
-        else:
-            col = T[:, enter].copy()
-            col[leave] = 0.0
-            np.multiply.outer(col, T[leave], out=update)
-            np.subtract(T, update, out=T)
+        T[leave] = T[leave] / T[leave, enter]
+        col = T[:, enter].copy()
+        col[leave] = 0.0
+        np.multiply.outer(col, T[leave], out=update)
+        np.subtract(T, update, out=T)
         basis[leave] = enter
 
     def refactor() -> None:
@@ -477,8 +429,6 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
         # basis; degenerate pivot chains otherwise erode the tableau.  A
         # numerically singular basis (forced tiny pivot) keeps the running
         # tableau; the certificate check downstream guards the result.
-        if exact:
-            return
         B = source[:, basis]
         try:
             fresh = np.linalg.solve(B, source)
@@ -487,20 +437,18 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
         T[:, :] = fresh
 
     def build_obj(cost: list) -> np.ndarray:
-        obj = np.zeros(ncols + 1, dtype=dtype)
-        if exact:
-            obj[:] = Fraction(0)
+        obj = np.zeros(ncols + 1)
         for j in range(ncols):
             obj[j] = -cost[j]
         for i in range(m):
             cb = cost[basis[i]]
-            if cb != zero:
+            if cb != 0.0:
                 obj += cb * T[i]
         return obj
 
     refactor_period = 40
     limit = 2000 + 200 * (m + ncols)  # pivots per phase
-    pivot_tol = 1e-9  # float path never pivots on anything smaller
+    pivot_tol = 1e-9  # never pivot on anything smaller
     harris_slack = 1e-9
     tiny = 1e-11  # Harris falls back to entries above this, never below
 
@@ -509,24 +457,19 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
         obj = build_obj(cost)
         steps = 0
         while True:
-            rc = obj[:ncols]
-            enter = (price_bland if exact else price_dantzig)(rc, allowed, eps)
+            enter = price_dantzig(obj[:ncols], allowed, 1e-9)
             if enter < 0:
                 return steps
-            col, rhs = T[:, enter], T[:, ncols]
-            if exact:
-                leave = leave_bland(col, rhs, basis)
-            else:
-                leave = leave_harris(col, rhs, pivot_tol, harris_slack, tiny)
+            leave = leave_harris(T[:, enter], T[:, ncols], pivot_tol, harris_slack, tiny)
             if leave < 0:
                 raise SimplexError("unbounded direction in a boxed program")
             entering_rc = obj[enter]
             pivot(leave, enter)
-            if entering_rc != zero:
+            if entering_rc != 0.0:
                 obj -= entering_rc * T[leave]
             steps += 1
             iterations += 1
-            if not exact and steps % refactor_period == 0:
+            if steps % refactor_period == 0:
                 refactor()
                 obj = build_obj(cost)
             if steps > limit:
@@ -534,89 +477,242 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
 
     phase1_iterations = 0
     if artificial:
-        cost1 = [zero] * ncols
-        for j in artificial:
-            cost1[j] = zero - 1
+        cost1 = [-1.0 if j in art_set else 0.0 for j in range(ncols)]
         phase1_iterations = run_phase(cost1, every_col)
         refactor()
-        infeas = sum((T[i, ncols] for i in range(m) if basis[i] in art_set), zero)
-        feas_tol = zero if exact else 1e-7
-        if infeas > feas_tol:
+        infeas = sum((T[i, ncols] for i in range(m) if basis[i] in art_set), 0.0)
+        if infeas > 1e-7:
             raise SimplexError(f"infeasible program (residual {infeas})")
         # Drive leftover degenerate artificials out of the basis so phase 2
-        # cannot move them; an all-zero row is redundant and stays put.  The
-        # float path needs a real pivot threshold here or elimination residue
-        # (~1e-16) gets picked as a pivot and corrupts the tableau.
-        drive_tol = zero if exact else 1e-7
+        # cannot move them; an all-zero row is redundant and stays put.  A
+        # real pivot threshold keeps elimination residue (~1e-16) from
+        # being picked as a pivot and corrupting the tableau.
         for i in range(m):
             if basis[i] in art_set:
                 for j in range(ncols):
-                    if j not in art_set and abs(T[i, j]) > drive_tol:
+                    if j not in art_set and abs(T[i, j]) > 1e-7:
                         pivot(i, j)
                         break
 
-    cost2 = [zero] * ncols
-    for j in range(nv):
-        cost2[j] = lp.objective[j] if lp.maximize else -lp.objective[j]
+    cost2 = _phase2_cost(lp, ncols, 0.0)
     run_phase(cost2, not_art)
 
-    if not exact:
-        # Restore the true right-hand side.  The perturbed optimum basis is
-        # dual feasible for the true data; a short dual-simplex pass repairs
-        # the (at most perturbation-sized) primal infeasibility, then one
-        # primal pass and a refactorization re-certify optimality.
-        source = original_true
-        refactor()
-        obj = build_obj(cost2)
-        polish_limit = 4 * m + 50
-        polish = 0
-        while True:
-            leave = polish_row(T[:, ncols], -1e-11)
-            if leave < 0:
-                break
-            enter = polish_col(T[leave, :ncols], obj[:ncols], not_art, pivot_tol)
-            if enter < 0:
-                raise SimplexError("dual polish found an infeasible row")
-            entering_rc = obj[enter]
-            pivot(leave, enter)
-            if entering_rc != zero:
-                obj -= entering_rc * T[leave]
-            iterations += 1
-            polish += 1
-            if polish > polish_limit:
-                raise SimplexError("dual polish did not converge")
-        run_phase(cost2, not_art)
-        refactor()
-        obj = build_obj(cost2)
-        optimal = price_dantzig(obj[:ncols], not_art, 1e-8) < 0
-        if not (optimal and (T[:, ncols] >= -1e-9).all()):
-            raise SimplexError("optimality not reached on the restored data")
-
-    # Final reduced-cost row for dual extraction.
+    # Restore the true right-hand side.  The perturbed optimum basis is
+    # dual feasible for the true data; a short dual-simplex pass repairs
+    # the (at most perturbation-sized) primal infeasibility, then one
+    # primal pass and a refactorization re-certify optimality.
+    source = original_true
+    refactor()
     obj = build_obj(cost2)
+    polish_limit = 4 * m + 50
+    polish = 0
+    while True:
+        leave = polish_row(T[:, ncols], -1e-11)
+        if leave < 0:
+            break
+        enter = polish_col(T[leave, :ncols], obj[:ncols], not_art, pivot_tol)
+        if enter < 0:
+            raise SimplexError("dual polish found an infeasible row")
+        entering_rc = obj[enter]
+        pivot(leave, enter)
+        if entering_rc != 0.0:
+            obj -= entering_rc * T[leave]
+        iterations += 1
+        polish += 1
+        if polish > polish_limit:
+            raise SimplexError("dual polish did not converge")
+    run_phase(cost2, not_art)
+    refactor()
+    obj = build_obj(cost2)
+    optimal = price_dantzig(obj[:ncols], not_art, 1e-8) < 0
+    if not (optimal and (T[:, ncols] >= -1e-9).all()):
+        raise SimplexError("optimality not reached on the restored data")
 
-    xt = [zero] * ncols
+    xt = [0.0] * ncols
     for i in range(m):
         xt[basis[i]] = T[i, ncols]
-    x = tuple(lo[j] + xt[j] for j in range(nv))
-    objective = sum((lp.objective[j] * x[j] for j in range(nv)), zero)
+    return _optimum(lp, xt, obj, unit_col, flipped, 0.0, iterations, phase1_iterations)
 
+
+def _exact_simplex(lp: LinearProgram) -> RawOptimum:
+    """Two-phase simplex under Bland's rule in exact arithmetic.
+
+    The tableau is fraction-free: row i holds Python-int numerators
+    ``M[i]`` over one positive denominator ``den[i]``, reduced by their
+    gcd, and row ``m`` is the reduced-cost row.  A pivot on (r, s) sets
+    ``M[i] <- M[r,s] M[i] - M[i,s] M[r]`` and ``den[i] <- den[i] M[r,s]``
+    on every other row with a nonzero entry in column s, then
+    ``den[r] <- M[r,s]``.  Signs and ratios do not depend on the row
+    denominators, so every choice is the one the rational tableau makes;
+    values become ``Fraction``s only at extraction.  No tolerances, no
+    perturbation.
+    """
+    rows, flipped, surplus_col, unit_col, artificial, ncols = _standard_form(
+        lp, Fraction(0)
+    )
+    nv, m = lp.num_vars, len(rows)
+    M = np.zeros((m + 1, ncols + 1), dtype=object)
+    den = np.ones(m + 1, dtype=object)
+    basis = np.zeros(m, dtype=np.intp)
+    for i, (dense, _, rhs) in enumerate(rows):
+        # The lcm of the denominators leaves numerators with gcd 1.
+        d = math.lcm(rhs.denominator, *(a.denominator for a in dense))
+        M[i, :nv] = [a.numerator * (d // a.denominator) for a in dense]
+        if i in surplus_col:
+            M[i, surplus_col[i]] = -d
+        M[i, unit_col[i]] = d
+        M[i, ncols] = rhs.numerator * (d // rhs.denominator)
+        den[i] = d
+        basis[i] = unit_col[i]
+
+    art_set = frozenset(artificial)
+    not_art = np.ones(ncols, dtype=bool)
+    not_art[artificial] = False
+    limit = 2000 + 200 * (m + ncols)  # pivots per phase
+
+    def reduce(i: int) -> None:
+        g = math.gcd(den[i], *M[i])
+        if den[i] < 0:
+            g = -g
+        if g != 1:
+            M[i] //= g
+            den[i] //= g
+
+    def pivot(r: int, s: int) -> None:
+        p = M[r, s]
+        for i in np.flatnonzero(M[:, s]):
+            if i != r:
+                M[i] = p * M[i] - M[i, s] * M[r]
+                den[i] *= p
+                reduce(i)
+        den[r] = p
+        reduce(r)
+        basis[r] = s
+
+    def set_objective(cost: list) -> None:
+        # Reduced costs c_B B^-1 [A | b] - [c | 0] over one common
+        # denominator, from integer costs C / cd.
+        cd = math.lcm(*(c.denominator for c in cost))
+        C = [c.numerator * (cd // c.denominator) for c in cost]
+        basic = [i for i in range(m) if C[basis[i]]]
+        d = math.lcm(*(den[i] for i in basic))
+        M[m, :ncols] = [-c * d for c in C]
+        M[m, ncols] = 0
+        for i in basic:
+            M[m] += C[basis[i]] * (d // den[i]) * M[i]
+        den[m] = cd * d
+        reduce(m)
+
+    def run_phase(cost: list, allowed: np.ndarray) -> int:
+        set_objective(cost)
+        steps = 0
+        while True:
+            enter = price_bland(M[m, :ncols], allowed, 0)
+            if enter < 0:
+                return steps
+            leave = leave_bland(M[:m, enter], M[:m, ncols], basis)
+            if leave < 0:
+                raise SimplexError("unbounded direction in a boxed program")
+            pivot(leave, enter)
+            steps += 1
+            if steps > limit:
+                raise SimplexError("iteration limit exceeded")
+
+    phase1_iterations = 0
+    if artificial:
+        cost1 = [-1 if j in art_set else 0 for j in range(ncols)]
+        phase1_iterations = run_phase(cost1, np.ones(ncols, dtype=bool))
+        infeas = sum(
+            (Fraction(M[i, ncols], den[i]) for i in range(m) if basis[i] in art_set),
+            Fraction(0),
+        )
+        if infeas > 0:
+            raise SimplexError(f"infeasible program (residual {infeas})")
+        # Drive leftover degenerate artificials out of the basis so phase 2
+        # cannot move them; an all-zero row is redundant and stays put.
+        for i in range(m):
+            if basis[i] in art_set:
+                hits = np.flatnonzero(not_art & (M[i, :ncols] != 0))
+                if hits.size:
+                    pivot(i, int(hits[0]))
+
+    iterations = phase1_iterations + run_phase(_phase2_cost(lp, ncols, 0), not_art)
+
+    xt = [Fraction(0)] * ncols
+    for i in range(m):
+        xt[basis[i]] = Fraction(M[i, ncols], den[i])
+    obj = [Fraction(a, den[m]) for a in M[m]]
+    return _optimum(
+        lp, xt, obj, unit_col, flipped, Fraction(0), iterations, phase1_iterations
+    )
+
+
+def _standard_form(lp: LinearProgram, zero):
+    """The program over x = lo + xt, xt >= 0, with one explicit box row
+    per upper bound and every row negated where needed so its right side
+    is nonnegative.
+
+    Returns the (dense coefficients, sense, rhs) rows, which rows were
+    negated, and the column layout: the structural variables, then a -e_i
+    surplus column per >= row (``surplus_col``), then one +e_i column per
+    row (``unit_col``: slack for <=, artificial for >= and =).
+    """
+    nv = lp.num_vars
+    lo = [b[0] for b in lp.var_bounds]
+    rows = []
+    for r in lp.rows:
+        dense = [zero] * nv
+        shift = zero
+        for j, a in r.coeffs:
+            dense[j] = a
+            shift += a * lo[j]
+        rows.append((dense, r.sense, r.rhs - shift))
+    for j, (lo_j, hi_j) in enumerate(lp.var_bounds):
+        dense = [zero] * nv
+        dense[j] = zero + 1
+        rows.append((dense, "<=", hi_j - lo_j))
+
+    flipped = [False] * len(rows)
+    for i, (dense, sense, rhs) in enumerate(rows):
+        if rhs < zero:
+            rows[i] = ([-a for a in dense], _flip(sense), -rhs)
+            flipped[i] = True
+
+    surplus_col: dict[int, int] = {}
+    ncols = nv
+    for i, (_, sense, _) in enumerate(rows):
+        if sense == ">=":
+            surplus_col[i] = ncols
+            ncols += 1
+    unit_col, artificial = [], []
+    for _, sense, _ in rows:
+        if sense != "<=":
+            artificial.append(ncols)
+        unit_col.append(ncols)
+        ncols += 1
+    return rows, flipped, surplus_col, unit_col, artificial, ncols
+
+
+def _phase2_cost(lp: LinearProgram, ncols: int, zero) -> list:
+    cost = [c if lp.maximize else -c for c in lp.objective]
+    return cost + [zero] * (ncols - lp.num_vars)
+
+
+def _optimum(lp, xt, obj, unit_col, flipped, zero, iterations, phase1_iterations):
+    """RawOptimum from the basic values ``xt`` of the shifted variables and
+    the final reduced-cost row ``obj``."""
+    nv = lp.num_vars
+    x = tuple(lp.var_bounds[j][0] + xt[j] for j in range(nv))
+    objective = sum((lp.objective[j] * x[j] for j in range(nv)), zero)
     # y_i is the reduced cost of the +e_i column, sign-corrected for rows
     # that were negated to make the right side nonnegative.
-    y = []
-    for i in range(m):
-        yi = obj[unit_col[i]]
-        y.append(-yi if flipped[i] else yi)
-    lower = tuple(obj[j] for j in range(nv))
-    row_duals = tuple(y[: len(lp.rows)])
-    upper_duals = tuple(y[len(lp.rows):])
-
+    y = [-obj[c] if f else obj[c] for c, f in zip(unit_col, flipped)]
     return RawOptimum(
         x=x,
         objective=objective,
-        row_duals=row_duals,
-        lower_duals=lower,
-        upper_duals=upper_duals,
+        row_duals=tuple(y[: len(lp.rows)]),
+        lower_duals=tuple(obj[j] for j in range(nv)),
+        upper_duals=tuple(y[len(lp.rows):]),
         iterations=iterations,
         phase1_iterations=phase1_iterations,
     )

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -6,7 +7,7 @@ from delsarte import cli
 from delsarte.cli import emit_figure_data, main, parse_discrete_set
 from delsarte.groups import FiniteAbelianGroup
 from delsarte.harmonic import fejer_kernel
-from delsarte.solver import SimplexError
+from delsarte.solver import CertificateVerdict, SimplexError
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +79,28 @@ def test_solve_solver_failure_exits_three(tmp_path, capsys, monkeypatch):
     assert stdout == ""
     assert err == "error: solver failed: iteration limit exceeded\n"
     assert not (tmp_path / "result.json").exists()
+
+
+def test_solve_uncertified_exits_four(tmp_path, capsys, monkeypatch):
+    violations = tuple(f"spectral[{k}]: primal row violated by 0.001" for k in range(4))
+    real_solve = cli.solve
+
+    def uncertified(spec, formulation="primal"):
+        sol = real_solve(spec, formulation)
+        return replace(sol, certificate_verdict=CertificateVerdict(False, violations))
+
+    monkeypatch.setattr(cli, "solve", uncertified)
+    code, stdout, err = run_cli(
+        capsys,
+        "solve", "--group", "Z8", "--omega-plus", "{-1,0,1}",
+        "--mode", "turan", "--out", str(tmp_path),
+    )
+    assert code == cli.EXIT_UNCERTIFIED == 4
+    assert stdout.strip() == "2"
+    assert err == "".join(f"uncertified: {v}\n" for v in violations[:3])
+    payload = json.loads((tmp_path / "result.json").read_text())
+    assert payload["status"] == "optimal"
+    assert payload["certificate_violations"] == list(violations)
 
 
 def test_solve_problem_file_round_trip(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Direct contract tests for the simplex engine on handmade programs."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from delsarte.classes import SymmetricSet
 from delsarte.discretize import TorusSpec, sample_set
+from delsarte.groups import FiniteAbelianGroup
 from delsarte.realsets import parse_real_set
 from delsarte.solver import (
     EXACT,
@@ -26,6 +28,7 @@ from delsarte.solver import (
     simplex_solve,
     solve,
     solve_discretized,
+    verify_certificate,
 )
 
 
@@ -136,30 +139,44 @@ def scipy_value(lp: LinearProgram) -> float:
     return -float(res.fun)
 
 
+def random_program(rng: random.Random, arithmetic=FLOAT) -> LinearProgram:
+    # Boxes [-1, 1] and right sides that keep the origin feasible.
+    n = rng.randint(2, 7)
+    m = rng.randint(1, 9)
+    rows = []
+    for _ in range(m):
+        coeffs = {
+            j: rng.randint(-4, 4) for j in rng.sample(range(n), rng.randint(1, n))
+        }
+        sense = rng.choice(["<=", ">=", "="])
+        if sense == "<=":
+            rhs = rng.randint(0, 6)
+        elif sense == ">=":
+            rhs = -rng.randint(0, 6)
+        else:
+            rhs = 0
+        rows.append((coeffs, sense, rhs))
+    objective = [rng.randint(-3, 3) for _ in range(n)]
+    return make_lp([(-1, 1)] * n, rows, objective, arithmetic)
+
+
 def test_randomized_programs_match_reference_solver():
     rng = random.Random(271828)
     for case in range(40):
-        n = rng.randint(2, 7)
-        m = rng.randint(1, 9)
-        rows = []
-        for _ in range(m):
-            coeffs = {
-                j: rng.randint(-4, 4) for j in rng.sample(range(n), rng.randint(1, n))
-            }
-            sense = rng.choice(["<=", ">=", "="])
-            # keep the box center feasible-ish so feasibility is guaranteed
-            center = sum(coeffs.values()) * 0.0
-            if sense == "<=":
-                rhs = rng.randint(0, 6)
-            elif sense == ">=":
-                rhs = -rng.randint(0, 6)
-            else:
-                rhs = 0
-            rows.append((coeffs, sense, rhs))
-        objective = [rng.randint(-3, 3) for _ in range(n)]
-        lp = make_lp([(-1, 1)] * n, rows, objective)
+        lp = random_program(rng)
         mine = simplex_solve(lp)
         assert float(mine.objective) == pytest.approx(scipy_value(lp), abs=1e-7), case
+
+
+def test_randomized_exact_programs_match_reference_solver():
+    # Equality and >= rows leave degenerate artificials in the basis after
+    # phase 1; driving them out may pivot on a negative entry, after which
+    # every row denominator must still be positive.
+    rng = random.Random(2)
+    for case in range(200):
+        lp = random_program(rng, EXACT)
+        mine = simplex_solve(lp)
+        assert float(mine.objective) == pytest.approx(scipy_value(lp), abs=1e-9), case
 
 
 def test_torus_scale_battery_against_reference():
@@ -316,6 +333,11 @@ def test_pricing_rules_match_loops(data):
     for eps in (1e-9, 0.0):
         assert price_dantzig(rc, allowed, eps) == ref_price_dantzig(rc, allowed, eps)
         assert price_bland(rc, allowed, eps) == ref_price_bland(rc, allowed, eps)
+    # The exact path prices integer numerators over a positive denominator.
+    exact = [Fraction(v) for v in rc]
+    den = math.lcm(*(v.denominator for v in exact))
+    numerators = np.array([int(v * den) for v in exact], dtype=object)
+    assert price_bland(numerators, allowed, 0) == ref_price_bland(exact, allowed, 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -328,12 +350,26 @@ def test_ratio_tests_match_loops(data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(column_with_rhs())
-def test_exact_bland_rule_matches_loop(data):
+@given(column_with_rhs(), st.lists(st.integers(1, 3), min_size=16, max_size=16))
+def test_exact_bland_rule_matches_loop(data, scales):
     col, rhs, basis = data
     lift = np.vectorize(Fraction, otypes=[object])
     col, rhs = lift(col), lift(rhs)
-    assert leave_bland(col, rhs, basis) == ref_leave_bland(col, rhs, basis, (Fraction(0),))
+    expected = ref_leave_bland(col, rhs, basis, (Fraction(0),))
+    assert leave_bland(col, rhs, basis) == expected
+    # The same rows as the exact path holds them: integer numerators over
+    # positive row denominators, which the ratios must cancel.
+    dens = [k * math.lcm(a.denominator, b.denominator) for k, a, b in zip(scales, col, rhs)]
+    num_col = np.array([int(a * d) for a, d in zip(col, dens)], dtype=object)
+    num_rhs = np.array([int(b * d) for b, d in zip(rhs, dens)], dtype=object)
+    assert leave_bland(num_col, num_rhs, basis) == expected
+
+
+def test_exact_bland_ratios_are_not_rounded():
+    # 2**53 + 1 and 2**53 are the same float64; the smaller ratio must win.
+    col = np.array([1, 1], dtype=object)
+    rhs = np.array([2**53 + 1, 2**53], dtype=object)
+    assert leave_bland(col, rhs, np.array([0, 1], dtype=np.intp)) == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -362,3 +398,59 @@ def test_pivot_sequence_is_pinned(mode, formulation, iterations, phase1):
     sol = solve(build(dp.group, plus), formulation)
     assert sol.certificate_verdict.ok
     assert (sol.stats.iterations, sol.stats.phase1_iterations) == (iterations, phase1)
+
+
+# -- the exact path, pinned ---------------------------------------------------
+#
+# Values, pivot counts and row multipliers of three exact programs.  Bland's
+# rule on exact data admits one pivot sequence, so a change to the exact
+# tableau arithmetic or to the rules moves these.
+
+GRID32_DEN = "272731358340920502802657740031018725777109034728816774886560709"
+
+
+def z32_delsarte():
+    group = FiniteAbelianGroup((32,))
+    plus = SymmetricSet.from_signed(group, range(-3, 4))
+    return ProblemSpec.delsarte(group, plus, arithmetic=EXACT)
+
+
+def grid32_turan():
+    dp = sample_set(parse_real_set("[-1,1]"), TorusSpec(Fraction(8), 32))
+    plus = SymmetricSet.from_signed(dp.group, dp.signed_members)
+    return ProblemSpec.turan(dp.group, plus, arithmetic=EXACT)
+
+
+def z6xz6_reduction():
+    # Criterion-6 style: the plus set lies in the subgroup generated by (1, 2).
+    group = FiniteAbelianGroup((6, 6))
+    plus = SymmetricSet.from_indices(group, {0, 16, 26})
+    minus = SymmetricSet.from_indices(group, {1, 5, 7, 14, 28, 35})
+    return ProblemSpec.general(group, plus, minus, arithmetic=EXACT)
+
+
+@pytest.mark.parametrize(
+    "build, value, counts, rows, duals",
+    [
+        (z32_delsarte, "4", (63, 62), 31,
+         {0: "4", 1: "8", 5: "8", 9: "8", 13: "4", 22: "-2", 30: "-1"}),
+        (grid32_turan,
+         "1385895015227995076499288930506197655067433158737389153247138757"
+         "/1090925433363682011210630960124074903108436138915267099546242836",
+         (24, 18), 18,
+         {0: f"1385895015227995076499288930506197655067433158737389153247138757/{GRID32_DEN}",
+          7: f"-345086093385347776919082254713364466113612242616463820738002944/{GRID32_DEN}",
+          8: f"-214283653242527437119816103720252149174042104920780996211638272/{GRID32_DEN}",
+          13: f"-111512835477582670650041570344071494223458533706433908065697792/{GRID32_DEN}",
+          14: f"-442281074781616689007691261697490819779211242764893653345239040/{GRID32_DEN}"}),
+        (z6xz6_reduction, "3", (24, 23), 25, {0: "3", 1: "4", 2: "4", 6: "-2"}),
+    ],
+    ids=["z32-delsarte", "grid32-turan", "z6xz6-reduction"],
+)
+def test_exact_path_is_pinned(build, value, counts, rows, duals):
+    sol = solve(build())
+    assert verify_certificate(sol, tol=0.0).ok
+    assert sol.value_exact == Fraction(value)
+    assert (sol.stats.iterations, sol.stats.phase1_iterations) == counts
+    expected = tuple(Fraction(duals.get(i, 0)) for i in range(rows))
+    assert tuple(y for _, y in sol.dual_certificate.rows) == expected
