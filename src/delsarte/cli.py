@@ -1,19 +1,25 @@
 """Command-line entry point.
 
-Thin shell over the library: parse literals and problem files, run
-solves, sweeps and checks, and emit deterministic JSON/CSV artifacts.
+Thin shell over the library. Every way of stating a problem takes one
+path: ``_problem`` gives the flags of ``solve``, ``sweep`` and ``reduce``
+and a ``solve --problem`` JSON file as the same fields, and
+``_minus_text`` alone maps the mode to Ω₋. A group problem becomes a
+``ProblemSpec`` in ``_group_spec``; a torus problem goes with all its
+fields to the library's ``solve_discretized`` or ``sweep``. Artifacts
+are deterministic JSON/CSV.
+
 Exit codes: 0 for a solved problem with a verified dual certificate (or
 a completed check), 2 when the admissible class is empty, 1 for
-malformed input, 3 when the solver fails, 4 when a solve ends optimal
-but its certificate fails verification.
+malformed input, 3 when the solver fails, 4 when a solve or a sweep row
+ends optimal but its certificate fails verification.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +28,6 @@ from .discretize import TorusSpec
 from .groups import FiniteAbelianGroup, parse_group
 from .harmonic import GroupFunction, fejer_kernel, fmt_sig
 from .realsets import (
-    RealSet1D,
     boundary,
     is_boundary_coherent,
     is_strictly_star_shaped,
@@ -31,7 +36,10 @@ from .realsets import (
 )
 from .reduction import reduce_and_compare
 from .solver import (
+    EXACT,
+    FLOAT,
     FULL,
+    MODES,
     SAME,
     ProblemSpec,
     SimplexError,
@@ -47,16 +55,12 @@ EXIT_CLASS_EMPTY = 2
 EXIT_SOLVER_ERROR = 3
 EXIT_UNCERTIFIED = 4
 
+# Defaults of the problem flags, which a problem file shares.
+_DEFAULTS = {"mode": "turan", "arithmetic": FLOAT, "tol": 1e-9}
 
-class InputError(Exception):
+
+class InputError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    args: argparse.Namespace
-    out_dir: Path
 
 
 def _fraction_str(x: Fraction) -> str:
@@ -93,10 +97,7 @@ def parse_discrete_set(group: FiniteAbelianGroup, text: str) -> SymmetricSet:
         elif ch == ")":
             depth -= 1
         token += ch
-    try:
-        return SymmetricSet.from_signed(group, members)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return SymmetricSet.from_signed(group, members)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -159,164 +160,144 @@ def _emit_solution(sol: Solution, out_dir: Path) -> None:
         emit_figure_data(sol.extremal_function, out_dir / "figure.csv")
 
 
-def _omega_minus_text(args) -> str:
-    if args.omega_minus is None:
-        return SAME if args.mode != "delsarte" else FULL
-    return args.omega_minus
+def _uncertified_exit(violations) -> int:
+    for violation in violations[:3]:
+        print(f"uncertified: {violation}", file=sys.stderr)
+    return EXIT_UNCERTIFIED if violations else EXIT_OK
+
+
+# -- problem resolution --------------------------------------------------------
+
+
+def _problem(args) -> argparse.Namespace:
+    """The problem's fields under the flag names, from the flags or from
+    the ``--problem`` JSON file with the flag defaults, checked alike."""
+    p = _read_problem_file(Path(args.problem)) if getattr(args, "problem", None) else args
+    if p.omega_plus is None:
+        raise InputError("missing --omega-plus (problem field 'omega_plus')")
+    if not 0 <= p.tol < math.inf:
+        raise InputError(f"tolerance must be finite and nonnegative, got {p.tol}")
+    return p
+
+
+def _read_problem_file(path: Path) -> argparse.Namespace:
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise InputError(f"{path}: a problem file holds one JSON object")
+
+    def field(source: dict, key: str, kinds, default=None):
+        value = source.get(key, default)
+        if value is None or (isinstance(value, kinds) and not isinstance(value, bool)):
+            return value
+        raise InputError(f"{path}: field {key!r} has the wrong type: {value!r}")
+
+    torus = field(raw, "torus", dict) or {}
+    if torus and not {"circumference", "grid"} <= torus.keys():
+        raise InputError(f"{path}: field 'torus' needs 'circumference' and 'grid'")
+    circumference = field(torus, "circumference", (int, float, str))
+    return argparse.Namespace(
+        group=field(raw, "group", str),
+        torus=None if circumference is None else str(circumference),
+        grid=field(torus, "grid", int),
+        omega_plus=field(raw, "omega_plus", str),
+        omega_minus=field(raw, "omega_minus", str),
+        mode=raw.get("mode", _DEFAULTS["mode"]),
+        arithmetic=raw.get("arithmetic", _DEFAULTS["arithmetic"]),
+        tol=field(raw, "tolerance", (int, float), _DEFAULTS["tol"]),
+    )
+
+
+def _minus_text(p) -> str:
+    """Ω₋ as a literal. The mode fixes it to Ω₊ (Turán) or to the whole
+    group (Delsarte); a general problem takes its own, SAME by default."""
+    if p.mode == "turan":
+        return SAME
+    if p.mode == "delsarte":
+        return FULL
+    return SAME if p.omega_minus is None else p.omega_minus
+
+
+def _group_spec(p) -> ProblemSpec:
+    if p.group is None:
+        raise InputError("missing --group or --torus (problem field 'group' or 'torus')")
+    group = parse_group(p.group)
+    plus = parse_discrete_set(group, p.omega_plus)
+    minus_text = _minus_text(p)
+    minus = plus if minus_text == SAME else parse_discrete_set(group, minus_text)
+    return ProblemSpec(
+        group, plus, minus, mode=p.mode, arithmetic=p.arithmetic, tolerance=p.tol
+    )
+
+
+def _real_sets(p):
+    """Ω₊ as a real set, and Ω₋ as a real set or SAME/FULL for the library."""
+    minus_text = _minus_text(p)
+    minus = minus_text if minus_text in (SAME, FULL) else parse_real_set(minus_text)
+    return parse_real_set(p.omega_plus), minus
+
+
+# -- commands ------------------------------------------------------------------
 
 
 def _cmd_solve(args) -> int:
-    out_dir = Path(args.out)
-    if args.problem:
-        spec_or_pair = _load_problem_file(Path(args.problem))
-    elif args.torus is not None:
-        s_plus = parse_real_set(args.omega_plus)
-        minus_text = _omega_minus_text(args)
-        s_minus = minus_text if minus_text in (FULL, SAME) else parse_real_set(minus_text)
-        spec_or_pair = (s_plus, s_minus, Fraction(args.torus), args.grid)
+    p = _problem(args)
+    if p.torus is None:
+        sol, warning = solve(_group_spec(p)), None
     else:
-        if not args.group:
-            raise InputError("solve needs --group, --torus or --problem")
-        group = _parse_group_arg(args.group)
-        omega_plus = parse_discrete_set(group, args.omega_plus)
-        minus_text = _omega_minus_text(args)
-        if args.mode == "turan" or minus_text == SAME:
-            omega_minus = omega_plus
-        elif args.mode == "delsarte" or minus_text == FULL:
-            omega_minus = SymmetricSet.full(group)
-        else:
-            omega_minus = parse_discrete_set(group, minus_text)
-        spec_or_pair = ProblemSpec(
-            group, omega_plus, omega_minus,
-            mode=args.mode, arithmetic=args.arithmetic, tolerance=args.tol,
-        )
-
-    if isinstance(spec_or_pair, ProblemSpec):
-        sol = solve(spec_or_pair)
-        warning = None
-    else:
-        s_plus, s_minus, circumference, grid = spec_or_pair
-        if grid is None:
+        if p.group is not None:
+            raise InputError("give a group or a torus, not both")
+        if p.grid is None:
             raise InputError("torus problems need --grid")
+        s_plus, s_minus = _real_sets(p)
         sol, warning = solve_discretized(
-            s_plus, s_minus, TorusSpec(circumference, grid),
-            mode=args.mode, arithmetic=args.arithmetic, tolerance=args.tol,
+            s_plus, s_minus, TorusSpec(p.torus, p.grid),
+            mode=p.mode, arithmetic=p.arithmetic, tolerance=p.tol,
         )
-    _emit_solution(sol, out_dir)
+    _emit_solution(sol, Path(args.out))
     if warning:
         print(f"warning: {warning}", file=sys.stderr)
     print(fmt_sig(sol.value))
     if sol.status != "optimal":
         return EXIT_CLASS_EMPTY
-    if not sol.certificate_verdict.ok:
-        for violation in sol.certificate_verdict.violations[:3]:
-            print(f"uncertified: {violation}", file=sys.stderr)
-        return EXIT_UNCERTIFIED
-    return EXIT_OK
-
-
-def _parse_group_arg(text: str) -> FiniteAbelianGroup:
-    try:
-        return parse_group(text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _load_problem_file(path: Path):
-    try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError as exc:
-        raise InputError(f"problem file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    mode = raw.get("mode", "turan")
-    arithmetic = raw.get("arithmetic", "float")
-    tolerance = float(raw.get("tolerance", 1e-9))
-    omega_plus = raw.get("omega_plus")
-    if omega_plus is None:
-        raise InputError(f"{path}: field 'omega_plus' is required")
-    omega_minus = raw.get("omega_minus")
-    if "group" in raw:
-        group = _parse_group_arg(raw["group"])
-        plus = parse_discrete_set(group, omega_plus)
-        if mode == "turan" or omega_minus in (None, SAME):
-            minus = plus
-        elif mode == "delsarte" or omega_minus == FULL:
-            minus = SymmetricSet.full(group)
-        else:
-            minus = parse_discrete_set(group, omega_minus)
-        try:
-            return ProblemSpec(
-                group, plus, minus, mode=mode, arithmetic=arithmetic, tolerance=tolerance
-            )
-        except ValueError as exc:
-            raise InputError(f"{path}: {exc}") from exc
-    if "torus" in raw:
-        torus = raw["torus"]
-        try:
-            circumference = Fraction(str(torus["circumference"]))
-            grid = int(torus["grid"])
-        except (KeyError, ValueError) as exc:
-            raise InputError(
-                f"{path}: field 'torus' needs 'circumference' and 'grid': {exc}"
-            ) from exc
-        s_plus = _parse_real_arg(omega_plus, path)
-        if omega_minus in (None, SAME, FULL):
-            s_minus = omega_minus or SAME
-        else:
-            s_minus = _parse_real_arg(omega_minus, path)
-        return (s_plus, s_minus, circumference, grid)
-    raise InputError(f"{path}: need a 'group' or 'torus' field")
-
-
-def _parse_real_arg(text: str, origin="") -> RealSet1D:
-    try:
-        return parse_real_set(text)
-    except ValueError as exc:
-        prefix = f"{origin}: " if origin else ""
-        raise InputError(f"{prefix}{exc}") from exc
+    return _uncertified_exit(sol.certificate_verdict.violations)
 
 
 def _cmd_sweep(args) -> int:
-    s_plus = _parse_real_arg(args.omega_plus)
-    minus_text = _omega_minus_text(args)
-    s_minus = minus_text if minus_text in (FULL, SAME) else _parse_real_arg(minus_text)
+    p = _problem(args)
+    s_plus, s_minus = _real_sets(p)
     if args.grid_list:
-        grids = [int(p) for p in args.grid_list.split(",") if p]
+        grids = [int(g) for g in args.grid_list.split(",") if g]
     elif args.grid:
         grids = [args.grid]
     else:
         raise InputError("sweep needs --grid or --grid-list")
     table = sweep(
-        s_plus, s_minus, Fraction(args.torus), grids,
-        mode=args.mode, arithmetic=args.arithmetic, tolerance=args.tol,
+        s_plus, s_minus, p.torus, grids,
+        mode=p.mode, arithmetic=p.arithmetic, tolerance=p.tol,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "sweep.csv").write_text("\n".join(table.csv_lines()) + "\n")
-    _write_json(
-        out_dir / "sweep.json",
-        {
-            "rows": [
-                {
-                    "grid": r.grid,
-                    "step": r.step,
-                    "value": r.value,
-                    "gap": r.gap,
-                    "status": r.status,
-                    "warning": r.warning,
-                }
-                for r in table.rows
-            ]
-        },
-    )
+    rows, uncertified = [], []
+    for r in table.rows:
+        row = {"grid": r.grid, "step": r.step, "value": r.value, "gap": r.gap,
+               "status": r.status, "warning": r.warning}
+        verdict = r.certificate_verdict
+        if verdict is not None and not verdict.ok:
+            row["certificate_violations"] = verdict.violations
+            uncertified += [f"grid {r.grid}: {v}" for v in verdict.violations]
+        rows.append(row)
+    _write_json(out_dir / "sweep.json", {"rows": rows})
     for line in table.lines():
         print(line)
-    return EXIT_OK
+    return _uncertified_exit(uncertified)
 
 
 def _cmd_check_set(args) -> int:
-    s = _parse_real_arg(args.set)
+    s = parse_real_set(args.set)
     print(f"set: {s.to_literal()}")
     symmetric = is_symmetric(s)
     print(f"symmetric: {str(symmetric).lower()}")
@@ -336,9 +317,9 @@ def _cmd_check_set(args) -> int:
 def _cmd_classes(args) -> int:
     if not args.check:
         raise InputError("classes currently supports only --check")
-    s_plus = _parse_real_arg(args.omega_plus)
-    s_minus = _parse_real_arg(args.omega_minus) if args.omega_minus else s_plus
-    torus = TorusSpec(Fraction(args.torus), args.grid)
+    s_plus = parse_real_set(args.omega_plus)
+    s_minus = parse_real_set(args.omega_minus) if args.omega_minus else s_plus
+    torus = TorusSpec(args.torus, args.grid)
     group = FiniteAbelianGroup((torus.grid,), torus.step)
     samples: list[tuple[str, GroupFunction]] = [("delta", GroupFunction.delta(group))]
     for m in (1, 2, 4):
@@ -355,23 +336,7 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    group = _parse_group_arg(args.group)
-    omega_plus = parse_discrete_set(group, args.omega_plus)
-    minus_text = _omega_minus_text(args)
-    if args.mode == "turan" or minus_text == SAME:
-        omega_minus = omega_plus
-    elif args.mode == "delsarte" or minus_text == FULL:
-        omega_minus = SymmetricSet.full(group)
-    else:
-        omega_minus = parse_discrete_set(group, minus_text)
-    try:
-        spec = ProblemSpec(
-            group, omega_plus, omega_minus,
-            mode=args.mode, arithmetic=args.arithmetic, tolerance=args.tol,
-        )
-        report = reduce_and_compare(spec)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    report = reduce_and_compare(_group_spec(_problem(args)))
     for line in report.lines():
         print(line)
     return EXIT_OK
@@ -385,40 +350,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_group=True):
+    def add_common(p, with_group=True, plus_required=True):
         if with_group:
             p.add_argument("--group", help='group literal, e.g. "Z8" or "Z4xZ3,weight=1/4"')
-        p.add_argument("--omega-plus", required=True, help="sign set literal")
+        p.add_argument("--omega-plus", required=plus_required, help="sign set literal")
         p.add_argument("--omega-minus", help="sign set literal, FULL or SAME")
-        p.add_argument("--mode", default="turan", choices=["general", "turan", "delsarte"])
-        p.add_argument(
-            "--arithmetic", default="float", choices=["float", "exact-rational"]
-        )
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--mode", default=_DEFAULTS["mode"], choices=MODES)
+        p.add_argument("--arithmetic", default=_DEFAULTS["arithmetic"], choices=[FLOAT, EXACT])
+        p.add_argument("--tol", type=float, default=_DEFAULTS["tol"])
         p.add_argument("--out", default=".", help="output directory")
 
     p_solve = sub.add_parser("solve", help="solve one extremal problem")
+    p_solve.set_defaults(run=_cmd_solve)
     p_solve.add_argument("--problem", help="JSON problem file")
-    p_solve.add_argument("--group", help="group literal")
-    p_solve.add_argument("--omega-plus", help="sign set literal")
-    p_solve.add_argument("--omega-minus", help="sign set literal, FULL or SAME")
-    p_solve.add_argument("--mode", default="turan", choices=["general", "turan", "delsarte"])
-    p_solve.add_argument("--arithmetic", default="float", choices=["float", "exact-rational"])
-    p_solve.add_argument("--tol", type=float, default=1e-9)
-    p_solve.add_argument("--out", default=".")
+    add_common(p_solve, plus_required=False)
     p_solve.add_argument("--torus", help="circumference for grid problems")
     p_solve.add_argument("--grid", type=int, help="grid count for torus problems")
 
     p_sweep = sub.add_parser("sweep", help="convergence table over grid counts")
+    p_sweep.set_defaults(run=_cmd_sweep)
     add_common(p_sweep, with_group=False)
     p_sweep.add_argument("--torus", required=True, help="circumference")
     p_sweep.add_argument("--grid", type=int)
     p_sweep.add_argument("--grid-list", help="comma-separated grid counts")
 
     p_check = sub.add_parser("check-set", help="topology predicates for a real set")
+    p_check.set_defaults(run=_cmd_check_set)
     p_check.add_argument("set", help='set literal, e.g. "(-2,-1)u(-1,1)u(1,2)"')
 
     p_classes = sub.add_parser("classes", help="class membership reports")
+    p_classes.set_defaults(run=_cmd_classes)
     p_classes.add_argument("--check", action="store_true")
     p_classes.add_argument("--omega-plus", required=True)
     p_classes.add_argument("--omega-minus")
@@ -426,19 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_classes.add_argument("--grid", type=int, required=True)
 
     p_reduce = sub.add_parser("reduce", help="reduction to a generated subgroup")
+    p_reduce.set_defaults(run=_cmd_reduce)
     p_reduce.add_argument("--compare", action="store_true")
     add_common(p_reduce)
 
     return parser
-
-
-def make_config(args: argparse.Namespace) -> RunConfig:
-    out_dir = Path(getattr(args, "out", "."))
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"output directory {out_dir} is not writable: {exc}") from exc
-    return RunConfig(command=args.command, args=args, out_dir=out_dir)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -447,20 +400,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else 0
-    handlers = {
-        "solve": _cmd_solve,
-        "sweep": _cmd_sweep,
-        "check-set": _cmd_check_set,
-        "classes": _cmd_classes,
-        "reduce": _cmd_reduce,
-    }
     try:
-        config = make_config(args)
-        return handlers[config.command](config.args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
+        return args.run(args)
+    except (ValueError, OSError) as exc:
+        # Malformed literals and files, unreadable problem files and
+        # unwritable output directories are all input errors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except SimplexError as exc:

@@ -34,7 +34,11 @@ class TorusSpec:
     grid: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "circumference", Fraction(self.circumference))
+        try:
+            circumference = Fraction(self.circumference)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"circumference {self.circumference!r} divides by zero") from exc
+        object.__setattr__(self, "circumference", circumference)
         if self.circumference <= 0:
             raise ValueError(f"circumference must be positive, got {self.circumference}")
         if self.grid < 2:
@@ -54,11 +58,6 @@ class DiscreteProblemSet:
     signed_members: tuple[int, ...]
     boundary_coherent: bool
     warning: str | None
-
-    @property
-    def residues(self) -> frozenset[int]:
-        n = self.torus.grid
-        return frozenset(j % n for j in self.signed_members)
 
     def __len__(self) -> int:
         return len(self.signed_members)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 def _fold_turn(t: Fraction) -> Fraction:
@@ -99,8 +100,8 @@ class FiniteAbelianGroup:
         if not orders or any(n < 1 for n in orders):
             raise ValueError(f"group orders must be positive, got {self.orders!r}")
         weight = Fraction(self.weight)
-        if weight <= 0:
-            raise ValueError(f"Haar weight must be positive, got {self.weight}")
+        if not sys.float_info.min <= weight <= sys.float_info.max:
+            raise ValueError(f"Haar weight must be positive and within float range, got {self.weight}")
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "weight", weight)
         strides = []
@@ -157,10 +158,6 @@ class FiniteAbelianGroup:
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * len(self.orders))
 
-    def elements(self) -> Iterator["GroupElement"]:
-        for i in range(self.size):
-            yield self.element(i)
-
     def add_index(self, i: int, j: int) -> int:
         out = 0
         for n, s in zip(self.orders, self._strides):
@@ -201,10 +198,6 @@ class FiniteAbelianGroup:
         if isinstance(coords, int):
             return Character(self, self.coords_of(coords))
         return Character(self, tuple(int(c) % n for c, n in zip(coords, self.orders)))
-
-    def characters(self) -> Iterator["Character"]:
-        for i in range(self.size):
-            yield self.character(i)
 
     def label(self, index: int) -> str:
         signed = self.signed_coords(index)
@@ -323,10 +316,6 @@ class Subgroup:
     def is_proper(self) -> bool:
         return self.order < self.group.size
 
-    def elements(self) -> Iterator[GroupElement]:
-        for i in self.members:
-            yield self.group.element(i)
-
 
 @dataclass(frozen=True)
 class ScalingMap:
@@ -352,7 +341,10 @@ def parse_group(text: str) -> FiniteAbelianGroup:
         key, _, value = tail.partition("=")
         if key != "weight" or not value:
             raise ValueError(f"unrecognized group option {tail!r} in {text!r}")
-        weight = Fraction(value)
+        try:
+            weight = Fraction(value)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"group weight {value!r} divides by zero") from exc
     orders = []
     for part in body.split("x"):
         m = _GROUP_RE.match(part)

@@ -26,10 +26,6 @@ def fmt_sig(x: float, digits: int = 12) -> str:
     return format(float(x), f".{digits}g")
 
 
-def _group_size(group) -> int:
-    return group.size
-
-
 class GroupFunction:
     """Real-valued function on a group with a write-once cached spectrum."""
 
@@ -37,9 +33,9 @@ class GroupFunction:
 
     def __init__(self, group, values: Sequence[float] | np.ndarray):
         arr = np.asarray(values, dtype=float).copy()
-        if arr.shape != (_group_size(group),):
+        if arr.shape != (group.size,):
             raise ValueError(
-                f"expected {_group_size(group)} values, got shape {arr.shape}"
+                f"expected {group.size} values, got shape {arr.shape}"
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError("function values must be finite")
@@ -50,17 +46,17 @@ class GroupFunction:
 
     @staticmethod
     def delta(group) -> "GroupFunction":
-        values = np.zeros(_group_size(group))
+        values = np.zeros(group.size)
         values[0] = 1.0
         return GroupFunction(group, values)
 
     @staticmethod
     def constant(group, value: float = 1.0) -> "GroupFunction":
-        return GroupFunction(group, np.full(_group_size(group), float(value)))
+        return GroupFunction(group, np.full(group.size, float(value)))
 
     @staticmethod
     def indicator(group, indices: Iterable[int]) -> "GroupFunction":
-        values = np.zeros(_group_size(group))
+        values = np.zeros(group.size)
         for i in indices:
             values[int(i)] = 1.0
         return GroupFunction(group, values)
@@ -92,7 +88,7 @@ class GroupFunction:
 
     @staticmethod
     def from_csv(group, path: str | Path) -> "GroupFunction":
-        values = np.zeros(_group_size(group))
+        values = np.zeros(group.size)
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
@@ -133,7 +129,7 @@ class Spectrum:
 
 def _neg_permutation(group) -> np.ndarray:
     return np.fromiter(
-        (group.neg_index(i) for i in range(_group_size(group))), dtype=int
+        (group.neg_index(i) for i in range(group.size)), dtype=int
     )
 
 
@@ -155,7 +151,7 @@ def dft_reference(f: GroupFunction) -> Spectrum:
     path is validated against it.
     """
     group = f.group
-    n = _group_size(group)
+    n = group.size
     h = float(group.weight)
     out = np.zeros(n, dtype=complex)
     for k in range(n):
@@ -171,7 +167,7 @@ def dft_reference(f: GroupFunction) -> Spectrum:
 def idft(spectrum: Spectrum, imag_tol: float = 1e-9) -> GroupFunction:
     """Inverse transform back to a real function on the group."""
     group = spectrum.group
-    n = _group_size(group)
+    n = group.size
     h = float(group.weight)
     if hasattr(group, "orders"):
         shaped = np.asarray(spectrum.values).reshape(group.orders)
@@ -200,7 +196,7 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
         ga = np.fft.fftn(g.values.reshape(group.orders))
         out = np.fft.ifftn(fa * ga).real.reshape(-1) * h
         return GroupFunction(group, out)
-    n = _group_size(group)
+    n = group.size
     out = np.zeros(n)
     for x in range(n):
         acc = 0.0
@@ -275,7 +271,7 @@ class SpectralVerdict:
 
 def default_pd_tolerance(f: GroupFunction) -> float:
     # Accumulated rounding in the spectrum scales with the group size.
-    return 1e-9 * max(1.0, abs(f(0))) * _group_size(f.group)
+    return 1e-9 * max(1.0, abs(f(0))) * f.group.size
 
 
 def is_positive_definite(f: GroupFunction, tol: float | None = None) -> SpectralVerdict:

@@ -832,7 +832,9 @@ def solve(spec: ProblemSpec, formulation: str = "primal") -> Solution:
         rows=tuple((r.label, y) for r, y in zip(lp.rows, raw.row_duals)),
         lower_bounds=raw.lower_duals,
         upper_bounds=raw.upper_duals,
-        dual_objective=_dual_objective(lp, raw),
+        dual_objective=_dual_objective(
+            lp, raw.row_duals, raw.upper_duals, raw.lower_duals
+        ),
     )
 
     gap_raw = raw.objective - certificate.dual_objective
@@ -864,14 +866,14 @@ def solve(spec: ProblemSpec, formulation: str = "primal") -> Solution:
     return replace(sol, certificate_verdict=verify_certificate(sol))
 
 
-def _dual_objective(lp: LinearProgram, raw: RawOptimum):
+def _dual_objective(lp: LinearProgram, row_duals, upper_duals, lower_duals):
     exact = lp.arithmetic == EXACT
     acc = Fraction(0) if exact else 0.0
-    for row, y in zip(lp.rows, raw.row_duals):
+    for row, y in zip(lp.rows, row_duals):
         acc += y * row.rhs
-    for j, mu in enumerate(raw.upper_duals):
+    for j, mu in enumerate(upper_duals):
         acc += mu * lp.var_bounds[j][1]
-    for j, nu in enumerate(raw.lower_duals):
+    for j, nu in enumerate(lower_duals):
         acc -= nu * lp.var_bounds[j][0]
     return acc
 
@@ -951,11 +953,9 @@ def verify_certificate(sol: Solution, tol: float | None = None) -> CertificateVe
         )
     # Recompute the dual objective from the multipliers themselves; the
     # certificate is the multipliers, not a claimed gap.
-    dual_obj = sum((y * row.rhs for row, (_, y) in zip(lp.rows, cert.rows)),
-                   Fraction(0) if exact else 0.0)
-    for j in range(lp.num_vars):
-        dual_obj += cert.upper_bounds[j] * lp.var_bounds[j][1]
-        dual_obj -= cert.lower_bounds[j] * lp.var_bounds[j][0]
+    dual_obj = _dual_objective(
+        lp, [y for _, y in cert.rows], cert.upper_bounds, cert.lower_bounds
+    )
     gap = float(sol.value) - float(lp.objective_scale) * float(dual_obj)
     check(
         abs(gap) <= max(tol, sol.spec.tolerance) * max(1.0, abs(float(sol.value))),
@@ -981,6 +981,7 @@ class SweepRow:
     status: str
     warning: str | None
     value_exact: Fraction | None = None
+    certificate_verdict: CertificateVerdict | None = None
 
 
 @dataclass(frozen=True)
@@ -1059,7 +1060,6 @@ def sweep(
     tolerance: float = 1e-9,
 ) -> ConvergenceTable:
     """One solve per grid count, in the order given."""
-    circumference = Fraction(circumference)
 
     def run(n: int) -> SweepRow:
         start = time.perf_counter()
@@ -1076,6 +1076,7 @@ def sweep(
             status=sol.status,
             warning=warning,
             value_exact=sol.value_exact,
+            certificate_verdict=sol.certificate_verdict,
         )
 
     return ConvergenceTable(tuple(run(n) for n in grids))

@@ -1,7 +1,12 @@
+import argparse
+import contextlib
+import io
 import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delsarte import cli
 from delsarte.cli import emit_figure_data, main, parse_discrete_set
@@ -103,6 +108,71 @@ def test_solve_uncertified_exits_four(tmp_path, capsys, monkeypatch):
     assert payload["certificate_violations"] == list(violations)
 
 
+def _write(directory, name, text):
+    path = directory / name
+    path.write_text(text)
+    return str(path)
+
+
+BAD_INPUTS = {
+    "problem-file-is-a-list": lambda d: ["solve", "--problem", _write(d, "p.json", "[1, 2]")],
+    "omega-plus-not-a-string": lambda d: [
+        "solve", "--problem",
+        _write(d, "p.json", json.dumps({"group": "Z8", "omega_plus": 5})),
+    ],
+    "torus-not-an-object": lambda d: [
+        "solve", "--problem",
+        _write(d, "p.json", json.dumps({"torus": 5, "omega_plus": "[-1,1]"})),
+    ],
+    "problem-is-a-directory": lambda d: ["solve", "--problem", str(d)],
+    "torus-without-omega-plus": lambda d: ["solve", "--torus", "8", "--grid", "16"],
+    "circumference-divides-by-zero": lambda d: [
+        "solve", "--torus", "1/0", "--grid", "16", "--omega-plus", "[-1,1]",
+    ],
+    "group-weight-divides-by-zero": lambda d: [
+        "solve", "--group", "Z8,weight=1/0", "--omega-plus", "{0}",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_one_without_traceback(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, *BAD_INPUTS[case](tmp_path), "--out", str(out))
+    assert code == cli.EXIT_INPUT_ERROR == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_torus_problem_file_matches_flags(tmp_path, capsys):
+    problem = tmp_path / "torus.json"
+    problem.write_text(
+        json.dumps(
+            {
+                "torus": {"circumference": 8, "grid": 16},
+                "omega_plus": "[-1,1]",
+                "mode": "delsarte",
+                "arithmetic": "exact-rational",
+                "tolerance": 1e-7,
+            }
+        )
+    )
+    file_out, flag_out = tmp_path / "file", tmp_path / "flags"
+    file_run = run_cli(capsys, "solve", "--problem", str(problem), "--out", str(file_out))
+    flag_run = run_cli(
+        capsys,
+        "solve", "--torus", "8", "--grid", "16", "--omega-plus", "[-1,1]",
+        "--mode", "delsarte", "--arithmetic", "exact-rational", "--tol", "1e-7",
+        "--out", str(flag_out),
+    )
+    assert file_run == flag_run
+    assert file_run[0] == 0
+    for name in ("result.json", "function.csv", "spectrum.csv", "figure.csv"):
+        assert (file_out / name).read_bytes() == (flag_out / name).read_bytes()
+    assert "value_exact" in json.loads((file_out / "result.json").read_text())
+
+
 def test_solve_problem_file_round_trip(tmp_path, capsys):
     problem = tmp_path / "problem.json"
     problem.write_text(
@@ -187,6 +257,30 @@ def test_sweep_outputs_table(tmp_path, capsys):
     assert [row["grid"] for row in payload["rows"]] == [32, 64]
 
 
+def test_sweep_uncertified_exits_four(tmp_path, capsys, monkeypatch):
+    violations = tuple(f"spectral[{k}]: primal row violated by 0.001" for k in range(4))
+    real_sweep = cli.sweep
+
+    def uncertified(*args, **kwargs):
+        table = real_sweep(*args, **kwargs)
+        assert all(row.certificate_verdict.ok for row in table.rows)
+        bad = replace(table.rows[1], certificate_verdict=CertificateVerdict(False, violations))
+        return replace(table, rows=(table.rows[0], bad))
+
+    monkeypatch.setattr(cli, "sweep", uncertified)
+    code, stdout, err = run_cli(
+        capsys,
+        "sweep", "--omega-plus", "[-1,1]", "--torus", "8",
+        "--grid-list", "16,32", "--out", str(tmp_path),
+    )
+    assert code == cli.EXIT_UNCERTIFIED == 4
+    assert len(stdout.strip().splitlines()) == 3
+    assert err == "".join(f"uncertified: grid 32: {v}\n" for v in violations[:3])
+    rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+    assert "certificate_violations" not in rows[0]
+    assert rows[1]["certificate_violations"] == list(violations)
+
+
 def test_classes_check_reports_chain(capsys):
     code, stdout, _ = run_cli(
         capsys,
@@ -259,3 +353,103 @@ def test_emit_figure_data_extremal_profile(tmp_path):
     for x, v in values.items():
         if -x in values:
             assert v == pytest.approx(values[-x], abs=1e-12)
+
+
+# Values for each flag, by argparse dest: (well-formed, malformed).  Groups
+# stay at order <= 16 and grids at <= 16, so an example runs in milliseconds.
+SETS = st.sampled_from([
+    "{-1,0,1}", "{-2,-1,0,1,2}", "{(0,0),(1,0),(3,0)}", "{}", "{0}", "FULL", "SAME",
+    "[-1,1]", "(-2,-1)u(-1,1)u(1,2)", "[-3/2,3/2]", "(-2,2)", "[0,1]",
+])
+BAD_SETS = st.sampled_from([
+    "{99}", "{(1,2)}", "[-100,100]", "{1,,2}", "{(1,2}", "{1)}", "{", "[1,-1]", "[-1/0,1]",
+    "(-1,1)u", "",
+]) | st.text("{}()[],-/u01x ", max_size=10)
+FLAG_VALUES = {
+    "group": (
+        st.sampled_from(["Z8", "Z4xZ3", "Z16,weight=1/4", "Z2xZ2xZ2", "Z1", "Z12"]),
+        st.sampled_from([
+            "Z0", "Q8", "", "Z8x", "Z8,weight=1/0", "Z8,weight=-1", "Z8,weight=abc",
+            "Z8,weight=1e-400", "Z8,weight=1e300", "Z8,scale=2",
+        ]),
+    ),
+    "omega_plus": (SETS, BAD_SETS),
+    "omega_minus": (SETS, BAD_SETS),
+    "set": (SETS, BAD_SETS),
+    "mode": (st.sampled_from(["general", "turan", "delsarte"]), st.just("bogus")),
+    "arithmetic": (st.sampled_from(["float", "exact-rational"]), st.just("bogus")),
+    "tol": (st.sampled_from(["1e-9", "1e-6", "0"]),
+            st.sampled_from(["-1", "nan", "inf", "-inf", "abc"])),
+    "torus": (st.sampled_from(["8", "4", "17/2"]),
+              st.sampled_from(["1/0", "0", "-8", "abc", "1e400", "1e300", "1e-300"])),
+    "grid": (st.sampled_from(["8", "16", "2", "5"]),
+             st.sampled_from(["1", "0", "-4", "abc", "3.5"])),
+    "grid_list": (st.sampled_from(["8,16", "2", "16,8", "4,"]),
+                  st.sampled_from(["0", "a,b", ",", "8,1"])),
+}
+
+
+def _subcommand_actions():
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        for name, sub in subparsers.choices.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    problems = {
+        "group.json": {"group": "Z12", "omega_plus": "{-2,-1,0,1,2}"},
+        "torus.json": {"torus": {"circumference": 8, "grid": 16}, "omega_plus": "[-1,1]",
+                       "mode": "delsarte", "arithmetic": "exact-rational"},
+        "both.json": {"group": "Z8", "torus": {"circumference": 8, "grid": 8},
+                      "omega_plus": "{0}"},
+        "types.json": {"group": "Z8", "omega_plus": "{0}", "tolerance": "small"},
+        "grid.json": {"torus": {"circumference": 8, "grid": 2.5}, "omega_plus": "[-1,1]"},
+        "partial.json": {"torus": {"grid": 8}, "omega_plus": "[-1,1]"},
+        "list.json": [1, 2],
+    }
+    for name, payload in problems.items():
+        (d / name).write_text(json.dumps(payload))
+    (d / "broken.json").write_text("{not json")
+    (d / "a-file").write_text("")
+    return d
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_main_never_raises_on_generated_argv(fuzz_dir, data):
+    values = dict(FLAG_VALUES)
+    values["problem"] = (
+        st.sampled_from([str(fuzz_dir / "group.json"), str(fuzz_dir / "torus.json")]),
+        st.sampled_from([str(fuzz_dir), *(str(fuzz_dir / n) for n in (
+            "both.json", "types.json", "grid.json", "partial.json", "list.json",
+            "broken.json", "missing.json",
+        ))]),
+    )
+    values["out"] = (st.just(str(fuzz_dir / "out")), st.just(str(fuzz_dir / "a-file")))
+
+    def value(dest):
+        good, bad = values[dest]
+        return data.draw(bad if data.draw(st.integers(0, 4)) == 0 else good)
+
+    actions = _subcommand_actions()
+    command = data.draw(st.sampled_from(sorted(actions)))
+    argv = [command]
+    for action in actions[command]:
+        # --out is always given, so no example writes into the working directory.
+        if not action.required and action.dest != "out" and data.draw(st.booleans()):
+            continue
+        if not action.option_strings:
+            argv.append(value(action.dest))
+        elif action.nargs == 0:
+            argv.append(action.option_strings[-1])
+        else:
+            argv.append(f"{action.option_strings[-1]}={value(action.dest)}")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in {0, 1, 2, 3, 4}, argv
