@@ -383,7 +383,7 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
         return _exact_simplex(lp)
     rows, flipped, surplus_col, unit_col, artificial, ncols = _standard_form(lp, 0.0)
     nv, m = lp.num_vars, len(rows)
-    T = np.zeros((m, ncols + 1))
+    T = np.zeros((m + 1, ncols + 1))  # row m: reduced costs
     basis = np.zeros(m, dtype=np.intp)
     for i, (dense, sense, rhs) in enumerate(rows):
         for j in range(nv):
@@ -429,14 +429,14 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
         # basis; degenerate pivot chains otherwise erode the tableau.  A
         # numerically singular basis (forced tiny pivot) keeps the running
         # tableau; the certificate check downstream guards the result.
-        B = source[:, basis]
+        B = source[:m, basis]
         try:
-            fresh = np.linalg.solve(B, source)
+            fresh = np.linalg.solve(B, source[:m])
         except np.linalg.LinAlgError:
             return
-        T[:, :] = fresh
+        T[:m] = fresh
 
-    def build_obj(cost: list) -> np.ndarray:
+    def set_objective(cost: list) -> None:
         obj = np.zeros(ncols + 1)
         for j in range(ncols):
             obj[j] = -cost[j]
@@ -444,7 +444,7 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
             cb = cost[basis[i]]
             if cb != 0.0:
                 obj += cb * T[i]
-        return obj
+        T[m] = obj
 
     refactor_period = 40
     limit = 2000 + 200 * (m + ncols)  # pivots per phase
@@ -454,24 +454,21 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
 
     def run_phase(cost: list, allowed: np.ndarray) -> int:
         nonlocal iterations
-        obj = build_obj(cost)
+        set_objective(cost)
         steps = 0
         while True:
-            enter = price_dantzig(obj[:ncols], allowed, 1e-9)
+            enter = price_dantzig(T[m, :ncols], allowed, 1e-9)
             if enter < 0:
                 return steps
-            leave = leave_harris(T[:, enter], T[:, ncols], pivot_tol, harris_slack, tiny)
+            leave = leave_harris(T[:m, enter], T[:m, ncols], pivot_tol, harris_slack, tiny)
             if leave < 0:
                 raise SimplexError("unbounded direction in a boxed program")
-            entering_rc = obj[enter]
             pivot(leave, enter)
-            if entering_rc != 0.0:
-                obj -= entering_rc * T[leave]
             steps += 1
             iterations += 1
             if steps % refactor_period == 0:
                 refactor()
-                obj = build_obj(cost)
+                set_objective(cost)
             if steps > limit:
                 raise SimplexError("iteration limit exceeded")
 
@@ -503,35 +500,32 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     # primal pass and a refactorization re-certify optimality.
     source = original_true
     refactor()
-    obj = build_obj(cost2)
+    set_objective(cost2)
     polish_limit = 4 * m + 50
     polish = 0
     while True:
-        leave = polish_row(T[:, ncols], -1e-11)
+        leave = polish_row(T[:m, ncols], -1e-11)
         if leave < 0:
             break
-        enter = polish_col(T[leave, :ncols], obj[:ncols], not_art, pivot_tol)
+        enter = polish_col(T[leave, :ncols], T[m, :ncols], not_art, pivot_tol)
         if enter < 0:
             raise SimplexError("dual polish found an infeasible row")
-        entering_rc = obj[enter]
         pivot(leave, enter)
-        if entering_rc != 0.0:
-            obj -= entering_rc * T[leave]
         iterations += 1
         polish += 1
         if polish > polish_limit:
             raise SimplexError("dual polish did not converge")
     run_phase(cost2, not_art)
     refactor()
-    obj = build_obj(cost2)
-    optimal = price_dantzig(obj[:ncols], not_art, 1e-8) < 0
-    if not (optimal and (T[:, ncols] >= -1e-9).all()):
+    set_objective(cost2)
+    optimal = price_dantzig(T[m, :ncols], not_art, 1e-8) < 0
+    if not (optimal and (T[:m, ncols] >= -1e-9).all()):
         raise SimplexError("optimality not reached on the restored data")
 
     xt = [0.0] * ncols
     for i in range(m):
         xt[basis[i]] = T[i, ncols]
-    return _optimum(lp, xt, obj, unit_col, flipped, 0.0, iterations, phase1_iterations)
+    return _optimum(lp, xt, T[m], unit_col, flipped, 0.0, iterations, phase1_iterations)
 
 
 def _exact_simplex(lp: LinearProgram) -> RawOptimum:
