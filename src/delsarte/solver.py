@@ -365,15 +365,15 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     The float path relaxes every inequality outward by a distinct
     deterministic epsilon (breaking degenerate ties without losing
     feasibility), prices by steepest reduced cost with a Harris two-pass
-    ratio test so it never pivots on tiny elements, and refactorizes the
-    tableau from the source data periodically so rounding from degenerate
-    chains cannot accumulate.  At the end the true right-hand side is
-    restored, a short dual-simplex pass repairs the perturbation-sized
-    infeasibility, and one primal pass re-certifies optimality; a basis
-    that still fails the check raises.  Each float pivot is one in-place
-    rank-1 update of the whole tableau.  Exact-rational programs go to
-    ``_exact_simplex`` (Bland's rule on a fraction-free integer tableau).
-    Every selection rule takes the first index among equal candidates.
+    ratio test so it never pivots on tiny elements.  Each float pivot is
+    one in-place rank-1 update of the whole tableau, whose last row holds
+    the reduced costs.  At the end the tableau is rebuilt from the true
+    data under the final basis, a short dual-simplex pass repairs the
+    perturbation-sized infeasibility, and one primal pass and a second
+    rebuild re-certify optimality; a basis that still fails the check
+    raises.  Exact-rational programs go to ``_exact_simplex`` (Bland's
+    rule on a fraction-free integer tableau).  Every selection rule takes
+    the first index among equal candidates.
 
     Finite variable boxes guarantee boundedness; the admissible problems
     are never infeasible (the point mass at the identity is feasible), so
@@ -405,7 +405,7 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     # inequality outward by a distinct tiny amount.  The admissible point
     # mass stays feasible, exact ratio ties disappear, and the true
     # right-hand side is restored before the final polish.
-    original_true = T.copy()
+    data = T[:m].copy()  # the true [A | b], which refactor() rebuilds from
     pert_base = 1e-5 * (1.0 + max(abs(float(T[i, ncols])) for i in range(m)))
     for i, (_, sense, _) in enumerate(rows):
         delta = pert_base * (i + 1) / m
@@ -413,7 +413,6 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
             T[i, ncols] += delta
         elif sense == ">=" and T[i, ncols] > delta:
             T[i, ncols] -= delta
-    source = T.copy()  # what refactor() rebuilds the tableau from
     update = np.empty_like(T)  # rank-1 update buffer, reused by every pivot
 
     def pivot(leave: int, enter: int) -> None:
@@ -423,18 +422,6 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
         np.multiply.outer(col, T[leave], out=update)
         np.subtract(T, update, out=T)
         basis[leave] = enter
-
-    def refactor() -> None:
-        # Rebuild T = B^-1 [A | b] from the source data under the current
-        # basis; degenerate pivot chains otherwise erode the tableau.  A
-        # numerically singular basis (forced tiny pivot) keeps the running
-        # tableau; the certificate check downstream guards the result.
-        B = source[:m, basis]
-        try:
-            fresh = np.linalg.solve(B, source[:m])
-        except np.linalg.LinAlgError:
-            return
-        T[:m] = fresh
 
     def set_objective(cost: list) -> None:
         obj = np.zeros(ncols + 1)
@@ -446,7 +433,19 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
                 obj += cb * T[i]
         T[m] = obj
 
-    refactor_period = 40
+    def refactor() -> None:
+        # Rebuild T = B^-1 [A | b] and its phase-2 reduced costs from the
+        # true data under the current basis.  This runs only where the data
+        # change (the true right-hand side replaces the perturbed one) and
+        # before the final optimality check.  A numerically singular basis
+        # (forced tiny pivot) keeps the running tableau; the certificate
+        # check downstream guards the result.
+        try:
+            T[:m] = np.linalg.solve(data[:, basis], data)
+        except np.linalg.LinAlgError:
+            pass
+        set_objective(cost2)
+
     limit = 2000 + 200 * (m + ncols)  # pivots per phase
     pivot_tol = 1e-9  # never pivot on anything smaller
     harris_slack = 1e-9
@@ -466,9 +465,6 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
             pivot(leave, enter)
             steps += 1
             iterations += 1
-            if steps % refactor_period == 0:
-                refactor()
-                set_objective(cost)
             if steps > limit:
                 raise SimplexError("iteration limit exceeded")
 
@@ -476,7 +472,6 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     if artificial:
         cost1 = [-1.0 if j in art_set else 0.0 for j in range(ncols)]
         phase1_iterations = run_phase(cost1, every_col)
-        refactor()
         infeas = sum((T[i, ncols] for i in range(m) if basis[i] in art_set), 0.0)
         if infeas > 1e-7:
             raise SimplexError(f"infeasible program (residual {infeas})")
@@ -498,9 +493,7 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     # dual feasible for the true data; a short dual-simplex pass repairs
     # the (at most perturbation-sized) primal infeasibility, then one
     # primal pass and a refactorization re-certify optimality.
-    source = original_true
     refactor()
-    set_objective(cost2)
     polish_limit = 4 * m + 50
     polish = 0
     while True:
@@ -517,7 +510,6 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
             raise SimplexError("dual polish did not converge")
     run_phase(cost2, not_art)
     refactor()
-    set_objective(cost2)
     optimal = price_dantzig(T[m, :ncols], not_art, 1e-8) < 0
     if not (optimal and (T[:m, ncols] >= -1e-9).all()):
         raise SimplexError("optimality not reached on the restored data")
