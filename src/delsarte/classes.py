@@ -140,13 +140,12 @@ def in_class(
     f: GroupFunction,
     spec: ClassSpec,
     tol: float = 1e-9,
-    pd_tol: float | None = None,
 ) -> ClassVerdict:
     """Check (a) positive definiteness, (b) f(0) = 1, (c) sign supports."""
     if f.group != spec.group:
         raise ValueError("function and class spec live on different groups")
     failures: list[ClassFailure] = []
-    pd = is_positive_definite(f, tol if pd_tol is None else pd_tol)
+    pd = is_positive_definite(f, tol)
     if not pd:
         failures.append(
             ClassFailure(

@@ -57,6 +57,7 @@ EXIT_UNCERTIFIED = 4
 
 # Defaults of the problem flags, which a problem file shares.
 _DEFAULTS = {"mode": "turan", "arithmetic": FLOAT, "tol": 1e-9}
+_PROBLEM_FLAGS = ("group", "torus", "grid", "omega_plus", "omega_minus", *_DEFAULTS)
 
 
 class InputError(ValueError):
@@ -171,8 +172,16 @@ def _uncertified_exit(violations) -> int:
 
 def _problem(args) -> argparse.Namespace:
     """The problem's fields under the flag names, from the flags or from
-    the ``--problem`` JSON file with the flag defaults, checked alike."""
-    p = _read_problem_file(Path(args.problem)) if getattr(args, "problem", None) else args
+    the ``--problem`` JSON file with the flag defaults, checked alike.
+    A file states the whole problem, so no problem flag may differ from
+    its default next to it."""
+    p = args
+    if getattr(args, "problem", None):
+        given = [k for k in _PROBLEM_FLAGS if getattr(args, k) != _DEFAULTS.get(k)]
+        if given:
+            flags = ", ".join("--" + k.replace("_", "-") for k in given)
+            raise InputError(f"--problem states the whole problem; drop {flags}")
+        p = _read_problem_file(Path(args.problem))
     if p.omega_plus is None:
         raise InputError("missing --omega-plus (problem field 'omega_plus')")
     if not 0 <= p.tol < math.inf:
@@ -315,8 +324,6 @@ def _cmd_check_set(args) -> int:
 
 
 def _cmd_classes(args) -> int:
-    if not args.check:
-        raise InputError("classes currently supports only --check")
     s_plus = parse_real_set(args.omega_plus)
     s_minus = parse_real_set(args.omega_minus) if args.omega_minus else s_plus
     torus = TorusSpec(args.torus, args.grid)
@@ -358,18 +365,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", default=_DEFAULTS["mode"], choices=MODES)
         p.add_argument("--arithmetic", default=_DEFAULTS["arithmetic"], choices=[FLOAT, EXACT])
         p.add_argument("--tol", type=float, default=_DEFAULTS["tol"])
-        p.add_argument("--out", default=".", help="output directory")
 
     p_solve = sub.add_parser("solve", help="solve one extremal problem")
     p_solve.set_defaults(run=_cmd_solve)
     p_solve.add_argument("--problem", help="JSON problem file")
     add_common(p_solve, plus_required=False)
+    p_solve.add_argument("--out", default=".", help="output directory")
     p_solve.add_argument("--torus", help="circumference for grid problems")
     p_solve.add_argument("--grid", type=int, help="grid count for torus problems")
 
     p_sweep = sub.add_parser("sweep", help="convergence table over grid counts")
     p_sweep.set_defaults(run=_cmd_sweep)
     add_common(p_sweep, with_group=False)
+    p_sweep.add_argument("--out", default=".", help="output directory")
     p_sweep.add_argument("--torus", required=True, help="circumference")
     p_sweep.add_argument("--grid", type=int)
     p_sweep.add_argument("--grid-list", help="comma-separated grid counts")
@@ -380,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classes = sub.add_parser("classes", help="class membership reports")
     p_classes.set_defaults(run=_cmd_classes)
-    p_classes.add_argument("--check", action="store_true")
     p_classes.add_argument("--omega-plus", required=True)
     p_classes.add_argument("--omega-minus")
     p_classes.add_argument("--torus", required=True)
@@ -388,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_reduce = sub.add_parser("reduce", help="reduction to a generated subgroup")
     p_reduce.set_defaults(run=_cmd_reduce)
-    p_reduce.add_argument("--compare", action="store_true")
     add_common(p_reduce)
 
     return parser

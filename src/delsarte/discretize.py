@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import FiniteAbelianGroup
+from .groups import MAX_ORDER, FiniteAbelianGroup
 from .realsets import RealSet1D, closure, is_boundary_coherent, is_symmetric
 
 RELAXATION_WARNING = (
@@ -28,7 +28,8 @@ RELAXATION_WARNING = (
 
 @dataclass(frozen=True)
 class TorusSpec:
-    """Circle of circumference L sampled on N grid points of step L/N."""
+    """Circle of circumference L sampled on N grid points of step L/N,
+    with 2 <= N <= ``MAX_ORDER``."""
 
     circumference: Fraction
     grid: int
@@ -43,6 +44,8 @@ class TorusSpec:
             raise ValueError(f"circumference must be positive, got {self.circumference}")
         if self.grid < 2:
             raise ValueError(f"grid count must be at least 2, got {self.grid}")
+        if self.grid > MAX_ORDER:
+            raise ValueError(f"grid count {self.grid} exceeds the limit {MAX_ORDER}")
 
     @property
     def step(self) -> Fraction:

@@ -332,8 +332,15 @@ class ScalingMap:
 _GROUP_RE = re.compile(r"^Z(\d+)$", re.IGNORECASE)
 
 
+# The largest group order that ``parse_group`` accepts, and the largest
+# grid count of a ``TorusSpec``: 2^16, the top of the sizes this dense
+# solver aims at.  A larger input fails before any table is built.
+MAX_ORDER = 2**16
+
+
 def parse_group(text: str) -> FiniteAbelianGroup:
-    """Parse a group literal such as "Z8", "Z4xZ3" or "Z8,weight=1/4"."""
+    """Parse a group literal such as "Z8", "Z4xZ3" or "Z8,weight=1/4"
+    of order at most ``MAX_ORDER``."""
     body = text.strip().replace(" ", "")
     weight = Fraction(1)
     if "," in body:
@@ -351,4 +358,7 @@ def parse_group(text: str) -> FiniteAbelianGroup:
         if not m:
             raise ValueError(f"unrecognized group literal {text!r}")
         orders.append(int(m.group(1)))
+    size = math.prod(orders)
+    if size > MAX_ORDER:
+        raise ValueError(f"group order {size} exceeds the limit {MAX_ORDER}")
     return FiniteAbelianGroup(tuple(orders), weight)

@@ -37,6 +37,7 @@ class SubgroupView:
         self._index_in_sub = {g: i for i, g in enumerate(members)}
         # Characters: deduplicated restrictions of the parent's characters,
         # canonically ordered by first appearance (ascending parent index).
+        # The dual of H has |H| elements, so the scan stops once it has them.
         seen: dict[tuple, int] = {}
         turns: list[tuple] = []
         for chi in range(parent.size):
@@ -44,6 +45,8 @@ class SubgroupView:
             if signature not in seen:
                 seen[signature] = len(turns)
                 turns.append(signature)
+                if len(turns) == len(members):
+                    break
         if len(turns) != len(members):
             raise ValueError("character restriction did not produce a full dual")
         self._char_turns = tuple(turns)

@@ -322,21 +322,22 @@ def leave_harris(col: np.ndarray, rhs: np.ndarray, pivot_tol: float,
     return int(admissible[np.argmax(col[admissible])])
 
 
-_fraction = np.frompyfunc(Fraction, 2, 1)
-
-
 def leave_bland(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> int:
     """Bland's leaving rule over the positive entries: the strict minimum
     ratio, ties broken by the lowest basic variable index; -1 when no
-    entry is positive.  Entries are exact (``Fraction`` or ``int``) and
-    ratios are compared as fractions, so integer numerators over positive
-    row denominators give the same choice as the rationals they encode."""
+    entry is positive.  Entries are exact (``Fraction`` or ``int``), and
+    ratios are compared by cross-multiplying the positive entries, so
+    integer numerators over positive row denominators give the same
+    choice as the rationals they encode, with no division."""
     rows = np.flatnonzero(col > 0)
     if rows.size == 0:
         return -1
-    ratios = _fraction(rhs[rows], col[rows])
-    ties = rows[ratios == ratios.min()]
-    return int(ties[np.argmin(basis[ties])])
+    best = rows[0]
+    for i in rows[1:]:
+        here, there = rhs[i] * col[best], rhs[best] * col[i]
+        if here < there or (here == there and basis[i] < basis[best]):
+            best = i
+    return int(best)
 
 
 def polish_row(rhs: np.ndarray, floor: float) -> int:
@@ -768,13 +769,16 @@ def _reconstruct_fourier(spec: ProblemSpec, lp: LinearProgram, x: Sequence) -> l
     n = group.size
     chi_reps = [label[1] for label in lp.var_labels]
     _, chi_size = _char_orbits(group)
-    values = []
-    for g in range(n):
+    values = [None] * n
+    # f is even: g and -g pair with every character at turns t and 1 - t,
+    # which cos_turn folds to the same value, so each negation orbit is
+    # evaluated once.
+    for g in _element_orbits(group)[0]:
         acc = Fraction(0) if exact else 0.0
         for k, u in zip(chi_reps, x):
             if u != 0:
                 acc += u * _pairing_coeff(group, g, k, chi_size[k], exact)
-        values.append(acc / n)
+        values[g] = values[group.neg_index(g)] = acc / n
     return values
 
 
@@ -826,12 +830,7 @@ def solve(spec: ProblemSpec, formulation: str = "primal") -> Solution:
     gap_raw = raw.objective - certificate.dual_objective
     gap = abs(float(h) * float(gap_raw))
     value_exact = h * raw.objective if exact else None
-    verdict = in_class(
-        function,
-        spec.class_spec(),
-        tol=max(spec.tolerance, 1e-9),
-        pd_tol=None,
-    )
+    verdict = in_class(function, spec.class_spec(), tol=max(spec.tolerance, 1e-9))
     sol = Solution(
         spec=spec,
         status="optimal",
@@ -1045,16 +1044,16 @@ def sweep(
     arithmetic: str = FLOAT,
     tolerance: float = 1e-9,
 ) -> ConvergenceTable:
-    """One solve per grid count, in the order given."""
+    """One solve per grid count, in the order given; every grid count is
+    checked before the first solve."""
 
-    def run(n: int) -> SweepRow:
+    def run(torus: TorusSpec) -> SweepRow:
         start = time.perf_counter()
-        torus = TorusSpec(circumference, n)
         sol, warning = solve_discretized(
             s_plus, s_minus, torus, mode, arithmetic, tolerance
         )
         return SweepRow(
-            grid=n,
+            grid=torus.grid,
             step=float(torus.step),
             value=sol.value,
             gap=sol.gap,
@@ -1065,4 +1064,5 @@ def sweep(
             certificate_verdict=sol.certificate_verdict,
         )
 
-    return ConvergenceTable(tuple(run(n) for n in grids))
+    tori = [TorusSpec(circumference, n) for n in grids]
+    return ConvergenceTable(tuple(run(torus) for torus in tori))

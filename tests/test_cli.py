@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import time
 from dataclasses import replace
 
 import pytest
@@ -173,6 +174,46 @@ def test_torus_problem_file_matches_flags(tmp_path, capsys):
     assert "value_exact" in json.loads((file_out / "result.json").read_text())
 
 
+def test_problem_file_rejects_problem_flags(tmp_path, capsys):
+    problem = _write(tmp_path, "p.json", json.dumps({"group": "Z8", "omega_plus": "{-1,0,1}"}))
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(
+        capsys, "solve", "--problem", problem, "--mode", "delsarte",
+        "--arithmetic", "exact-rational", "--out", str(out),
+    )
+    assert code == cli.EXIT_INPUT_ERROR
+    assert stdout == "" and not out.exists()
+    assert err == "error: --problem states the whole problem; drop --mode, --arithmetic\n"
+    # A flag left at its default changes nothing, so it may stand next to a file.
+    code, stdout, _ = run_cli(
+        capsys, "solve", "--problem", problem, "--mode", "turan", "--out", str(out)
+    )
+    assert code == 0 and stdout.strip() == "2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--group", "Z999999999", "--omega-plus", "{0}"],
+    ["sweep", "--torus", "8", "--grid-list", "16,1000000000", "--omega-plus", "[-1,1]"],
+])
+def test_huge_sizes_exit_one_fast(tmp_path, capsys, argv):
+    start = time.perf_counter()
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_INPUT_ERROR
+    assert stdout == "" and "exceeds the limit 65536" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--group", "Z8", "--omega-plus", "{0}", "--out", "rdir"],
+    ["reduce", "--compare", "--group", "Z8", "--omega-plus", "{0}"],
+    ["classes", "--check", "--omega-plus", "[-1,1]", "--torus", "8", "--grid", "8"],
+])
+def test_removed_options_are_rejected(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "unrecognized arguments" in err
+
+
 def test_solve_problem_file_round_trip(tmp_path, capsys):
     problem = tmp_path / "problem.json"
     problem.write_text(
@@ -284,7 +325,7 @@ def test_sweep_uncertified_exits_four(tmp_path, capsys, monkeypatch):
 def test_classes_check_reports_chain(capsys):
     code, stdout, _ = run_cli(
         capsys,
-        "classes", "--check", "--omega-plus", "[-1,1]",
+        "classes", "--omega-plus", "[-1,1]",
         "--torus", "8", "--grid", "32",
     )
     assert code == 0
@@ -295,9 +336,9 @@ def test_classes_check_reports_chain(capsys):
 def test_reduce_compare_reports_values(capsys):
     code, stdout, _ = run_cli(
         capsys,
-        "reduce", "--compare", "--group", "Z4xZ3",
+        "reduce", "--group", "Z4xZ3",
         "--omega-plus", "{(0,0),(1,0),(3,0)}",
-        "--arithmetic", "exact-rational", "--out", ".",
+        "--arithmetic", "exact-rational",
     )
     assert code == 0
     assert "value_G=2" in stdout and "value_H=2" in stdout and "diff=0" in stdout

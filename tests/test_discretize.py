@@ -20,6 +20,9 @@ def test_torus_spec_validation():
         TorusSpec(Fraction(8), 1)
     with pytest.raises(ValueError):
         TorusSpec(Fraction(0), 16)
+    assert TorusSpec(Fraction(8), 2**16).grid == 2**16
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        TorusSpec(Fraction(8), 2**16 + 1)
 
 
 def test_sample_open_interval_excludes_endpoints():

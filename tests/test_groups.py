@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from delsarte.groups import (
+    MAX_ORDER,
     FiniteAbelianGroup,
     cos_turn,
     cos_turn_exact,
@@ -146,3 +147,9 @@ def test_parse_group_literals():
         parse_group("A5")
     with pytest.raises(ValueError):
         parse_group("Z8,w=1")
+    # The order is capped before any table is built.
+    assert MAX_ORDER == 2**16
+    assert parse_group(f"Z{MAX_ORDER}").size == MAX_ORDER
+    for text in (f"Z{MAX_ORDER + 1}", "Z256xZ257", "Z999999999"):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            parse_group(text)
