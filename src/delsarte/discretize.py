@@ -28,8 +28,7 @@ RELAXATION_WARNING = (
 
 @dataclass(frozen=True)
 class TorusSpec:
-    """Circle of circumference L sampled on N grid points of step L/N,
-    with 2 <= N <= ``MAX_ORDER``."""
+    """Circle of circumference L sampled on N grid points of step L/N."""
 
     circumference: Fraction
     grid: int

@@ -339,8 +339,7 @@ MAX_ORDER = 2**16
 
 
 def parse_group(text: str) -> FiniteAbelianGroup:
-    """Parse a group literal such as "Z8", "Z4xZ3" or "Z8,weight=1/4"
-    of order at most ``MAX_ORDER``."""
+    """Parse a group literal such as "Z8", "Z4xZ3" or "Z8,weight=1/4"."""
     body = text.strip().replace(" ", "")
     weight = Fraction(1)
     if "," in body:

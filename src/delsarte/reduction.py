@@ -35,9 +35,8 @@ class SubgroupView:
         self.members = members
         self.weight = Fraction(parent.weight)
         self._index_in_sub = {g: i for i, g in enumerate(members)}
-        # Characters: deduplicated restrictions of the parent's characters,
-        # canonically ordered by first appearance (ascending parent index).
-        # The dual of H has |H| elements, so the scan stops once it has them.
+        # Characters: deduplicated restrictions of the parent's characters in
+        # order of first appearance, until all |H| of them are found.
         seen: dict[tuple, int] = {}
         turns: list[tuple] = []
         for chi in range(parent.size):

@@ -397,8 +397,7 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
         basis[i] = unit_col[i]
 
     art_set = frozenset(artificial)
-    every_col = np.ones(ncols, dtype=bool)
-    not_art = every_col.copy()
+    not_art = np.ones(ncols, dtype=bool)
     not_art[artificial] = False
     iterations = 0
 
@@ -472,7 +471,7 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     phase1_iterations = 0
     if artificial:
         cost1 = [-1.0 if j in art_set else 0.0 for j in range(ncols)]
-        phase1_iterations = run_phase(cost1, every_col)
+        phase1_iterations = run_phase(cost1, np.ones(ncols, dtype=bool))
         infeas = sum((T[i, ncols] for i in range(m) if basis[i] in art_set), 0.0)
         if infeas > 1e-7:
             raise SimplexError(f"infeasible program (residual {infeas})")
@@ -482,10 +481,9 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
         # being picked as a pivot and corrupting the tableau.
         for i in range(m):
             if basis[i] in art_set:
-                for j in range(ncols):
-                    if j not in art_set and abs(T[i, j]) > 1e-7:
-                        pivot(i, j)
-                        break
+                hits = np.flatnonzero(not_art & (np.abs(T[i, :ncols]) > 1e-7))
+                if hits.size:
+                    pivot(i, int(hits[0]))
 
     cost2 = _phase2_cost(lp, ncols, 0.0)
     run_phase(cost2, not_art)
@@ -754,31 +752,29 @@ class Solution:
             raise ValueError("empty classes have extremal value 0 by convention")
 
 
-def _reconstruct_primal(spec: ProblemSpec, lp: LinearProgram, x: Sequence) -> list:
-    group = spec.group
-    values = [Fraction(0) if spec.arithmetic == EXACT else 0.0] * group.size
-    for rep, value in zip(lp.var_labels, x):
-        values[rep] = value
-        values[group.neg_index(rep)] = value
-    return values
-
-
-def _reconstruct_fourier(spec: ProblemSpec, lp: LinearProgram, x: Sequence) -> list:
+def _reconstruct(spec: ProblemSpec, lp: LinearProgram, x: Sequence, formulation: str) -> list:
+    """f on the whole group from its values on negation-orbit
+    representatives: the primal variables themselves, or the Fourier
+    inversion of the spectrum variables, evaluated once per orbit because
+    g and -g pair with every character at turns t and 1 - t, which
+    ``cos_turn`` folds to the same value."""
     group = spec.group
     exact = spec.arithmetic == EXACT
-    n = group.size
-    chi_reps = [label[1] for label in lp.var_labels]
-    _, chi_size = _char_orbits(group)
-    values = [None] * n
-    # f is even: g and -g pair with every character at turns t and 1 - t,
-    # which cos_turn folds to the same value, so each negation orbit is
-    # evaluated once.
-    for g in _element_orbits(group)[0]:
-        acc = Fraction(0) if exact else 0.0
-        for k, u in zip(chi_reps, x):
-            if u != 0:
-                acc += u * _pairing_coeff(group, g, k, chi_size[k], exact)
-        values[g] = values[group.neg_index(g)] = acc / n
+    zero = Fraction(0) if exact else 0.0
+    reps, orbit_values = lp.var_labels, x
+    if formulation == "fourier":
+        chi_reps = [label[1] for label in lp.var_labels]
+        _, chi_size = _char_orbits(group)
+        reps, orbit_values = _element_orbits(group)[0], []
+        for g in reps:
+            acc = zero
+            for k, u in zip(chi_reps, x):
+                if u != 0:
+                    acc += u * _pairing_coeff(group, g, k, chi_size[k], exact)
+            orbit_values.append(acc / group.size)
+    values = [zero] * group.size
+    for rep, value in zip(reps, orbit_values):
+        values[rep] = values[group.neg_index(rep)] = value
     return values
 
 
@@ -812,10 +808,7 @@ def solve(spec: ProblemSpec, formulation: str = "primal") -> Solution:
     exact = spec.arithmetic == EXACT
     h = lp.objective_scale
 
-    if formulation == "primal":
-        values = _reconstruct_primal(spec, lp, raw.x)
-    else:
-        values = _reconstruct_fourier(spec, lp, raw.x)
+    values = _reconstruct(spec, lp, raw.x, formulation)
     function = GroupFunction(spec.group, [float(v) for v in values])
 
     certificate = DualCertificate(
