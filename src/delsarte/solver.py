@@ -12,11 +12,12 @@ Two formulations are built from the same pairing data: the primal form
 in function values and an independent Fourier-side form in spectrum
 values; their agreement is the standing cross-check.  A dense two-phase
 simplex is the single solving engine; it pivots either in float64
-(Dantzig pricing, Harris ratio test) or in exact arithmetic on a
-fraction-free integer tableau (Bland's rule, used by the exact path
-only).  Rational pairing values are used exactly where the phase admits
-one (denominators 1, 2, 3, 4, 6); other phases are lifted from float64,
-so "exact" means exact pivoting on exactly represented row data.
+(bounded variables, Dantzig pricing, Harris ratio test) or in exact
+arithmetic on a fraction-free integer tableau (Bland's rule, used by the
+exact path only).  Rational pairing values are used exactly where the
+phase admits one (denominators 1, 2, 3, 4, 6); other phases are lifted
+from float64, so "exact" means exact pivoting on exactly represented row
+data.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ MODES = ("general", "turan", "delsarte")
 
 FULL = "FULL"
 SAME = "SAME"
+
+# Steps (pivots and bound flips) per phase, times m + ncols, before a
+# solve gives up.  The most measured over the test suite and one pass of
+# every benchmark workload is 3.1 (float, torus 8, N = 256, Delsarte
+# primal); an exact Z72 Delsarte solve takes 5.4 in its phase 1.
+PIVOTS_PER_COLUMN = 100
 
 
 class ClassEmptyProblem(Exception):
@@ -106,7 +113,8 @@ class LPRow:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Dense-ready LP over boxed variables, maximization sense.
+    """Dense-ready LP over bounded variables (lo <= x <= hi, both finite),
+    maximization sense.
 
     The objective is stored h-free with the Haar weight as a separate
     exact scale, so the value scales linearly in the weight by
@@ -286,6 +294,7 @@ class RawOptimum:
     upper_duals: tuple
     iterations: int
     phase1_iterations: int
+    bound_flips: int = 0
 
 
 def price_dantzig(rc: np.ndarray, allowed: np.ndarray, eps: float) -> int:
@@ -360,46 +369,74 @@ def polish_col(row: np.ndarray, rc: np.ndarray, allowed: np.ndarray,
     return int(ties[np.argmax(np.abs(row[ties]))])
 
 
-def simplex_solve(lp: LinearProgram) -> RawOptimum:
-    """Dense two-phase tableau simplex.
+def leave_bounded(col: np.ndarray, rhs: np.ndarray, upper: np.ndarray,
+                  bound: float, pivot_tol: float, slack: float,
+                  tiny: float) -> tuple[int, bool]:
+    """Harris's test for a column entering from 0 towards ``bound``, with
+    basic variable i in [0, upper[i]].
 
-    The float path relaxes every inequality outward by a distinct
+    A positive entry drives its basic variable down to 0 and a negative
+    one drives it up to a finite ``upper``; both become one Harris column
+    of positive entries over the distance left.  Returns the leaving row
+    and whether its variable leaves at its upper bound, or (-1, False)
+    when the entering variable reaches its own bound first (a bound flip)
+    or nothing blocks it.
+    """
+    rises = (col < 0) & (upper < np.inf)
+    a = np.where(rises, -col, col)
+    b = np.where(rises, upper - rhs, rhs)
+    row = leave_harris(a, b, pivot_tol, slack, tiny)
+    if row < 0 or bound <= b[row] / a[row]:
+        return -1, False
+    return row, bool(rises[row])
+
+
+def simplex_solve(lp: LinearProgram) -> RawOptimum:
+    """Dense two-phase tableau simplex; bounded-variable in float.
+
+    The float path works on x = lo + xt, 0 <= xt <= u = hi - lo, with no
+    box rows: a nonbasic column sits at either bound, and one at its upper
+    bound is complemented (xt = u - xt': its column negated in the tableau
+    and in the data, the right-hand side shifted by u times it), so
+    pricing, pivots and refactorization never see the bounds.  The Harris
+    ratio test also stops basic variables at their upper bounds, and an
+    entering variable that reaches its own bound first flips there with
+    no pivot.  Every inequality is relaxed outward by a distinct
     deterministic epsilon (breaking degenerate ties without losing
-    feasibility), prices by steepest reduced cost with a Harris two-pass
-    ratio test so it never pivots on tiny elements.  Each float pivot is
+    feasibility), and pricing is by steepest reduced cost.  Each pivot is
     one in-place rank-1 update of the whole tableau, whose last row holds
     the reduced costs.  At the end the tableau is rebuilt from the true
-    data under the final basis, a short dual-simplex pass repairs the
-    perturbation-sized infeasibility, and one primal pass and a second
-    rebuild re-certify optimality; a basis that still fails the check
-    raises.  Exact-rational programs go to ``_exact_simplex`` (Bland's
-    rule on a fraction-free integer tableau).  Every selection rule takes
-    the first index among equal candidates.
+    data, a short dual-simplex pass repairs the perturbation-sized
+    infeasibility on either bound, and one primal pass and a second
+    rebuild re-certify optimality; a basis that still fails raises.
+    Exact-rational programs go to ``_exact_simplex`` (Bland's rule on a
+    fraction-free integer tableau with explicit box rows).  Every
+    selection rule takes the first index among equal candidates.
 
-    Finite variable boxes guarantee boundedness; the admissible problems
+    Finite variable bounds guarantee boundedness; the admissible problems
     are never infeasible (the point mass at the identity is feasible), so
     both failure modes raise rather than return.
     """
     if lp.arithmetic == EXACT:
         return _exact_simplex(lp)
-    rows, flipped, surplus_col, unit_col, artificial, ncols = _standard_form(lp, 0.0)
+    rows, upper = _shifted_rows(lp, 0.0)
     nv, m = lp.num_vars, len(rows)
+    flipped, surplus_col, unit_col, artificial, ncols = _standard_form(rows, nv)
     T = np.zeros((m + 1, ncols + 1))  # row m: reduced costs
     basis = np.zeros(m, dtype=np.intp)
     for i, (dense, sense, rhs) in enumerate(rows):
-        for j in range(nv):
-            if dense[j] != 0.0:
-                T[i, j] = dense[j]
+        T[i, :nv] = dense
         if i in surplus_col:
             T[i, surplus_col[i]] = -1.0
         T[i, unit_col[i]] = 1.0
         T[i, ncols] = rhs
         basis[i] = unit_col[i]
+    up = np.array(upper + [np.inf] * (ncols - nv))  # bound of each column
+    sign = np.ones(ncols)  # -1 on complemented columns
 
-    art_set = frozenset(artificial)
     not_art = np.ones(ncols, dtype=bool)
     not_art[artificial] = False
-    iterations = 0
+    iterations = bound_flips = 0
 
     # Deterministic degeneracy-breaking perturbation: relax every
     # inequality outward by a distinct tiny amount.  The admissible point
@@ -423,15 +460,20 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
         np.subtract(T, update, out=T)
         basis[leave] = enter
 
-    def set_objective(cost: list) -> None:
-        obj = np.zeros(ncols + 1)
-        for j in range(ncols):
-            obj[j] = -cost[j]
-        for i in range(m):
-            cb = cost[basis[i]]
-            if cb != 0.0:
-                obj += cb * T[i]
-        T[m] = obj
+    def complement(j: int, row: int = -1) -> None:
+        # Substitute xt_j = u_j - xt'_j in the tableau and in the true
+        # data; a basic column's row is negated back to a unit row.
+        for A in (T, data):
+            A[:, ncols] -= up[j] * A[:, j]
+            A[:, j] *= -1.0
+        if row >= 0:
+            T[row] *= -1.0
+        sign[j] = -sign[j]
+
+    def set_objective(cost: np.ndarray) -> None:
+        c = cost * sign
+        T[m] = c[basis] @ T[:m]
+        T[m, :ncols] -= c
 
     def refactor() -> None:
         # Rebuild T = B^-1 [A | b] and its phase-2 reduced costs from the
@@ -446,33 +488,43 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
             pass
         set_objective(cost2)
 
-    limit = 2000 + 200 * (m + ncols)  # pivots per phase
+    limit = PIVOTS_PER_COLUMN * (m + ncols)  # steps per phase
     pivot_tol = 1e-9  # never pivot on anything smaller
     harris_slack = 1e-9
     tiny = 1e-11  # Harris falls back to entries above this, never below
 
-    def run_phase(cost: list, allowed: np.ndarray) -> int:
-        nonlocal iterations
+    def run_phase(cost: np.ndarray, allowed: np.ndarray) -> int:
+        nonlocal iterations, bound_flips
         set_objective(cost)
-        steps = 0
+        steps = pivots = 0
         while True:
             enter = price_dantzig(T[m, :ncols], allowed, 1e-9)
             if enter < 0:
-                return steps
-            leave = leave_harris(T[:m, enter], T[:m, ncols], pivot_tol, harris_slack, tiny)
-            if leave < 0:
-                raise SimplexError("unbounded direction in a boxed program")
-            pivot(leave, enter)
+                return pivots
+            leave, at_upper = leave_bounded(
+                T[:m, enter], T[:m, ncols], up[basis], up[enter],
+                pivot_tol, harris_slack, tiny,
+            )
+            if leave >= 0:
+                if at_upper:
+                    complement(basis[leave], leave)
+                pivot(leave, enter)
+                pivots += 1
+                iterations += 1
+            elif up[enter] < np.inf:
+                complement(enter)
+                bound_flips += 1
+            else:
+                raise SimplexError("unbounded direction in a bounded program")
             steps += 1
-            iterations += 1
             if steps > limit:
                 raise SimplexError("iteration limit exceeded")
 
     phase1_iterations = 0
     if artificial:
-        cost1 = [-1.0 if j in art_set else 0.0 for j in range(ncols)]
+        cost1 = np.where(not_art, 0.0, -1.0)
         phase1_iterations = run_phase(cost1, np.ones(ncols, dtype=bool))
-        infeas = sum((T[i, ncols] for i in range(m) if basis[i] in art_set), 0.0)
+        infeas = float(T[:m, ncols][~not_art[basis]].sum())
         if infeas > 1e-7:
             raise SimplexError(f"infeasible program (residual {infeas})")
         # Drive leftover degenerate artificials out of the basis so phase 2
@@ -480,25 +532,30 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
         # real pivot threshold keeps elimination residue (~1e-16) from
         # being picked as a pivot and corrupting the tableau.
         for i in range(m):
-            if basis[i] in art_set:
+            if not not_art[basis[i]]:
                 hits = np.flatnonzero(not_art & (np.abs(T[i, :ncols]) > 1e-7))
                 if hits.size:
                     pivot(i, int(hits[0]))
 
-    cost2 = _phase2_cost(lp, ncols, 0.0)
+    cost2 = np.array(_phase2_cost(lp, ncols, 0.0))
     run_phase(cost2, not_art)
 
     # Restore the true right-hand side.  The perturbed optimum basis is
     # dual feasible for the true data; a short dual-simplex pass repairs
-    # the (at most perturbation-sized) primal infeasibility, then one
-    # primal pass and a refactorization re-certify optimality.
+    # the (at most perturbation-sized) primal infeasibility, a basic
+    # value below 0 or above its bound, then one primal pass and a
+    # refactorization re-certify optimality.
     refactor()
     polish_limit = 4 * m + 50
     polish = 0
     while True:
-        leave = polish_row(T[:m, ncols], -1e-11)
+        rhs = T[:m, ncols]
+        over = up[basis] - rhs
+        leave = polish_row(np.minimum(rhs, over), -1e-11)
         if leave < 0:
             break
+        if over[leave] < rhs[leave]:
+            complement(basis[leave], leave)
         enter = polish_col(T[leave, :ncols], T[m, :ncols], not_art, pivot_tol)
         if enter < 0:
             raise SimplexError("dual polish found an infeasible row")
@@ -509,14 +566,22 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
             raise SimplexError("dual polish did not converge")
     run_phase(cost2, not_art)
     refactor()
+    rhs = T[:m, ncols]
     optimal = price_dantzig(T[m, :ncols], not_art, 1e-8) < 0
-    if not (optimal and (T[:m, ncols] >= -1e-9).all()):
+    if not (optimal and (rhs >= -1e-9).all() and (rhs <= up[basis] + 1e-9).all()):
         raise SimplexError("optimality not reached on the restored data")
 
-    xt = [0.0] * ncols
-    for i in range(m):
-        xt[basis[i]] = T[i, ncols]
-    return _optimum(lp, xt, T[m], unit_col, flipped, 0.0, iterations, phase1_iterations)
+    value = np.zeros(ncols)
+    value[basis] = rhs
+    comp = sign[:nv] < 0
+    xt = np.where(comp, up[:nv] - value[:nv], value[:nv])
+    # A complemented column's reduced cost is its upper-bound multiplier.
+    rc = T[m, :nv]
+    return _optimum(  # Python floats: the certificate check is scalar code
+        lp, xt.tolist(), _row_duals(T[m].tolist(), unit_col, flipped),
+        np.where(comp, 0.0, rc).tolist(), np.where(comp, rc, 0.0).tolist(),
+        0.0, iterations, phase1_iterations, bound_flips,
+    )
 
 
 def _exact_simplex(lp: LinearProgram) -> RawOptimum:
@@ -532,10 +597,14 @@ def _exact_simplex(lp: LinearProgram) -> RawOptimum:
     values become ``Fraction``s only at extraction.  No tolerances, no
     perturbation.
     """
-    rows, flipped, surplus_col, unit_col, artificial, ncols = _standard_form(
-        lp, Fraction(0)
-    )
-    nv, m = lp.num_vars, len(rows)
+    rows, upper = _shifted_rows(lp, Fraction(0))
+    nv = lp.num_vars
+    for j, u in enumerate(upper):  # one explicit box row per variable
+        dense = [Fraction(0)] * nv
+        dense[j] = Fraction(1)
+        rows.append((dense, "<=", u))
+    flipped, surplus_col, unit_col, artificial, ncols = _standard_form(rows, nv)
+    m = len(rows)
     M = np.zeros((m + 1, ncols + 1), dtype=object)
     den = np.ones(m + 1, dtype=object)
     basis = np.zeros(m, dtype=np.intp)
@@ -553,7 +622,7 @@ def _exact_simplex(lp: LinearProgram) -> RawOptimum:
     art_set = frozenset(artificial)
     not_art = np.ones(ncols, dtype=bool)
     not_art[artificial] = False
-    limit = 2000 + 200 * (m + ncols)  # pivots per phase
+    limit = PIVOTS_PER_COLUMN * (m + ncols)  # steps per phase
 
     def reduce(i: int) -> None:
         g = math.gcd(den[i], *M[i])
@@ -597,7 +666,7 @@ def _exact_simplex(lp: LinearProgram) -> RawOptimum:
                 return steps
             leave = leave_bland(M[:m, enter], M[:m, ncols], basis)
             if leave < 0:
-                raise SimplexError("unbounded direction in a boxed program")
+                raise SimplexError("unbounded direction in a bounded program")
             pivot(leave, enter)
             steps += 1
             if steps > limit:
@@ -627,21 +696,16 @@ def _exact_simplex(lp: LinearProgram) -> RawOptimum:
     for i in range(m):
         xt[basis[i]] = Fraction(M[i, ncols], den[i])
     obj = [Fraction(a, den[m]) for a in M[m]]
+    y = _row_duals(obj, unit_col, flipped)
     return _optimum(
-        lp, xt, obj, unit_col, flipped, Fraction(0), iterations, phase1_iterations
+        lp, xt, y, obj[:nv], y[len(lp.rows):], Fraction(0), iterations,
+        phase1_iterations,
     )
 
 
-def _standard_form(lp: LinearProgram, zero):
-    """The program over x = lo + xt, xt >= 0, with one explicit box row
-    per upper bound and every row negated where needed so its right side
-    is nonnegative.
-
-    Returns the (dense coefficients, sense, rhs) rows, which rows were
-    negated, and the column layout: the structural variables, then a -e_i
-    surplus column per >= row (``surplus_col``), then one +e_i column per
-    row (``unit_col``: slack for <=, artificial for >= and =).
-    """
+def _shifted_rows(lp: LinearProgram, zero):
+    """The rows over xt = x - lo as (dense coefficients, sense, rhs), and
+    the upper bounds hi - lo of xt."""
     nv = lp.num_vars
     lo = [b[0] for b in lp.var_bounds]
     rows = []
@@ -652,14 +716,22 @@ def _standard_form(lp: LinearProgram, zero):
             dense[j] = a
             shift += a * lo[j]
         rows.append((dense, r.sense, r.rhs - shift))
-    for j, (lo_j, hi_j) in enumerate(lp.var_bounds):
-        dense = [zero] * nv
-        dense[j] = zero + 1
-        rows.append((dense, "<=", hi_j - lo_j))
+    return rows, [hi - lo for lo, hi in lp.var_bounds]
 
+
+def _standard_form(rows: list, nv: int):
+    """Negate, in place, every row whose right side is negative, and lay
+    out the columns: the structural variables, then a -e_i surplus column
+    per >= row (``surplus_col``), then one +e_i column per row
+    (``unit_col``: slack for <=, artificial for >= and =).  Variable
+    bounds are not rows here; the float simplex handles them in its ratio
+    test and the exact one appends box rows before calling this.
+
+    Returns which rows were negated and the layout.
+    """
     flipped = [False] * len(rows)
     for i, (dense, sense, rhs) in enumerate(rows):
-        if rhs < zero:
+        if rhs < 0:
             rows[i] = ([-a for a in dense], _flip(sense), -rhs)
             flipped[i] = True
 
@@ -675,7 +747,7 @@ def _standard_form(lp: LinearProgram, zero):
             artificial.append(ncols)
         unit_col.append(ncols)
         ncols += 1
-    return rows, flipped, surplus_col, unit_col, artificial, ncols
+    return flipped, surplus_col, unit_col, artificial, ncols
 
 
 def _phase2_cost(lp: LinearProgram, ncols: int, zero) -> list:
@@ -683,23 +755,29 @@ def _phase2_cost(lp: LinearProgram, ncols: int, zero) -> list:
     return cost + [zero] * (ncols - lp.num_vars)
 
 
-def _optimum(lp, xt, obj, unit_col, flipped, zero, iterations, phase1_iterations):
-    """RawOptimum from the basic values ``xt`` of the shifted variables and
-    the final reduced-cost row ``obj``."""
+def _row_duals(obj, unit_col, flipped) -> list:
+    """y_i is the reduced cost of the +e_i column, sign-corrected for rows
+    that were negated to make the right side nonnegative."""
+    return [-obj[c] if f else obj[c] for c, f in zip(unit_col, flipped)]
+
+
+def _optimum(lp, xt, y, lower, upper, zero, iterations, phase1_iterations,
+             bound_flips=0):
+    """RawOptimum from the values ``xt`` of the shifted variables, the
+    row duals ``y`` (box rows, if any, after the program's rows) and the
+    bound multipliers."""
     nv = lp.num_vars
     x = tuple(lp.var_bounds[j][0] + xt[j] for j in range(nv))
     objective = sum((lp.objective[j] * x[j] for j in range(nv)), zero)
-    # y_i is the reduced cost of the +e_i column, sign-corrected for rows
-    # that were negated to make the right side nonnegative.
-    y = [-obj[c] if f else obj[c] for c, f in zip(unit_col, flipped)]
     return RawOptimum(
         x=x,
         objective=objective,
         row_duals=tuple(y[: len(lp.rows)]),
-        lower_duals=tuple(obj[j] for j in range(nv)),
-        upper_duals=tuple(y[len(lp.rows):]),
+        lower_duals=tuple(lower),
+        upper_duals=tuple(upper),
         iterations=iterations,
         phase1_iterations=phase1_iterations,
+        bound_flips=bound_flips,
     )
 
 
@@ -722,9 +800,10 @@ class DualCertificate:
 
 @dataclass(frozen=True)
 class SolveStats:
-    iterations: int
+    iterations: int  # pivots, including the dual polish
     phase1_iterations: int
     runtime: float
+    bound_flips: int = 0  # ratio-test steps that flipped a variable's bound
 
 
 @dataclass(frozen=True)
@@ -834,7 +913,8 @@ def solve(spec: ProblemSpec, formulation: str = "primal") -> Solution:
         dual_certificate=certificate,
         gap=gap,
         stats=SolveStats(
-            raw.iterations, raw.phase1_iterations, time.perf_counter() - start
+            raw.iterations, raw.phase1_iterations, time.perf_counter() - start,
+            raw.bound_flips,
         ),
         formulation=formulation,
         lp=lp,

@@ -40,6 +40,19 @@ def test_solve_prints_value_and_writes_artifacts(tmp_path, capsys):
     assert (out / "figure.csv").exists()
 
 
+def test_result_json_keeps_its_layout(tmp_path, capsys):
+    # Solve statistics other than the pivot count (runtime, phase-1
+    # pivots, bound flips) stay out of the deterministic artifact.
+    code, _, _ = run_cli(
+        capsys,
+        "solve", "--group", "Z5", "--omega-plus", "{-2,-1,0,1,2}",
+        "--mode", "turan", "--out", str(tmp_path),
+    )
+    assert code == 0
+    payload = json.loads((tmp_path / "result.json").read_text())
+    assert set(payload) == {"status", "value", "gap", "iterations"}
+
+
 def test_solve_class_empty_exit_code(tmp_path, capsys):
     code, stdout, _ = run_cli(
         capsys,

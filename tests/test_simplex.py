@@ -16,10 +16,15 @@ from delsarte.realsets import parse_real_set
 from delsarte.solver import (
     EXACT,
     FLOAT,
+    DualCertificate,
     LinearProgram,
     LPRow,
     ProblemSpec,
+    SimplexError,
+    Solution,
+    SolveStats,
     leave_bland,
+    leave_bounded,
     leave_harris,
     polish_col,
     polish_row,
@@ -104,7 +109,7 @@ def test_degenerate_program_terminates():
     assert float(raw.objective) == pytest.approx(1.0)
 
 
-def scipy_value(lp: LinearProgram) -> float:
+def highs(lp: LinearProgram):
     from scipy.optimize import linprog
 
     n = lp.num_vars
@@ -122,7 +127,7 @@ def scipy_value(lp: LinearProgram) -> float:
         else:
             a_eq.append(dense)
             b_eq.append(float(row.rhs))
-    res = linprog(
+    return linprog(
         c=[-float(c) for c in lp.objective],
         A_ub=np.array(a_ub) if a_ub else None,
         b_ub=np.array(b_ub) if b_ub else None,
@@ -135,12 +140,21 @@ def scipy_value(lp: LinearProgram) -> float:
             "dual_feasibility_tolerance": 1e-10,
         },
     )
+
+
+def scipy_value(lp: LinearProgram) -> float:
+    res = highs(lp)
     assert res.success
     return -float(res.fun)
 
 
+# Boxes around the origin, asymmetric ones included so that optima put
+# variables at upper bounds other than 1 and at lower bounds other than -1.
+BOXES = [(-1, 1), (-2, 1), (0, 3), (-1, 0)]
+
+
 def random_program(rng: random.Random, arithmetic=FLOAT) -> LinearProgram:
-    # Boxes [-1, 1] and right sides that keep the origin feasible.
+    # Boxes that hold the origin and right sides that keep it feasible.
     n = rng.randint(2, 7)
     m = rng.randint(1, 9)
     rows = []
@@ -157,7 +171,27 @@ def random_program(rng: random.Random, arithmetic=FLOAT) -> LinearProgram:
             rhs = 0
         rows.append((coeffs, sense, rhs))
     objective = [rng.randint(-3, 3) for _ in range(n)]
-    return make_lp([(-1, 1)] * n, rows, objective, arithmetic)
+    bounds = [rng.choice(BOXES) for _ in range(n)]
+    return make_lp(bounds, rows, objective, arithmetic)
+
+
+def certificate_verdict(lp: LinearProgram, raw, tol: float):
+    """verify_certificate on a bare program: the spec only lends its
+    default tolerance to the duality-gap check."""
+    group = FiniteAbelianGroup((2,))
+    spec = ProblemSpec.turan(group, SymmetricSet.from_indices(group, {0}))
+    sol = Solution(
+        spec=spec, status="optimal", value=float(raw.objective), value_exact=None,
+        extremal_function=None, extremal_values_exact=None,
+        dual_certificate=DualCertificate(
+            rows=tuple((r.label, y) for r, y in zip(lp.rows, raw.row_duals)),
+            lower_bounds=raw.lower_duals, upper_bounds=raw.upper_duals,
+            dual_objective=None,
+        ),
+        gap=0.0, stats=SolveStats(raw.iterations, raw.phase1_iterations, 0.0),
+        formulation="primal", lp=lp, var_values=raw.x, class_verdict=None,
+    )
+    return verify_certificate(sol, tol=tol)
 
 
 def test_randomized_programs_match_reference_solver():
@@ -166,6 +200,8 @@ def test_randomized_programs_match_reference_solver():
         lp = random_program(rng)
         mine = simplex_solve(lp)
         assert float(mine.objective) == pytest.approx(scipy_value(lp), abs=1e-7), case
+        verdict = certificate_verdict(lp, mine, 1e-9)
+        assert verdict.ok, (case, verdict.violations)
 
 
 def test_randomized_exact_programs_match_reference_solver():
@@ -177,6 +213,78 @@ def test_randomized_exact_programs_match_reference_solver():
         lp = random_program(rng, EXACT)
         mine = simplex_solve(lp)
         assert float(mine.objective) == pytest.approx(scipy_value(lp), abs=1e-9), case
+        verdict = certificate_verdict(lp, mine, 0.0)
+        assert verdict.ok, (case, verdict.violations)
+
+
+def near_degenerate_program(rng: random.Random) -> LinearProgram:
+    # Rows through one vertex of the box, shifted by multiples of 1e-6:
+    # less than the degeneracy-breaking perturbation, so once the true
+    # right side returns, basic values lie just outside [0, u] on either
+    # side and the dual polish must repair them.  Some are infeasible.
+    n, m = rng.randint(2, 3), rng.randint(1, 3)
+    bounds = [rng.choice([(0, 1), (-1, 1), (0, 2), (-1, 0)]) for _ in range(n)]
+    vertex = [rng.choice(box) for box in bounds]
+    rows = []
+    for _ in range(m):
+        coeffs = {j: rng.randint(-2, 2) for j in range(n)}
+        activity = sum(a * v for a, v in zip(coeffs.values(), vertex))
+        shift = rng.choice([0, 1, -1, 2, -2, 3]) * 1e-6
+        rows.append((coeffs, rng.choice(["<=", ">="]), activity + shift))
+    return make_lp(bounds, rows, [rng.randint(-2, 2) for _ in range(n)])
+
+
+def test_near_degenerate_programs_match_reference_solver():
+    rng = random.Random(5)
+    for case in range(300):
+        lp = near_degenerate_program(rng)
+        res = highs(lp)
+        if res.status == 2:
+            with pytest.raises(SimplexError):
+                simplex_solve(lp)
+            continue
+        mine = simplex_solve(lp)
+        assert float(mine.objective) == pytest.approx(-res.fun, abs=1e-7), case
+        verdict = certificate_verdict(lp, mine, 1e-9)
+        assert verdict.ok, (case, verdict.violations)
+
+
+def test_optimum_at_every_upper_bound_takes_no_pivot():
+    # max x + 2y + z over x in [-1, 1], y in [0, 3], z in [-2, 0] with a
+    # row that never binds: each variable flips to its upper bound.
+    lp = make_lp(
+        [(-1, 1), (0, 3), (-2, 0)], [({0: 1, 1: 1, 2: 1}, "<=", 10)], [1, 2, 1]
+    )
+    raw = simplex_solve(lp)
+    assert float(raw.objective) == pytest.approx(7.0)
+    assert (raw.iterations, raw.phase1_iterations, raw.bound_flips) == (0, 0, 3)
+    hi = [b[1] for b in lp.var_bounds]
+    assert list(raw.x) == hi
+    assert [float(v) for v in raw.upper_duals] == pytest.approx([1.0, 2.0, 1.0])
+    assert all(v == 0.0 for v in raw.lower_duals)
+    assert all(mu == 0.0 or x == h for mu, x, h in zip(raw.upper_duals, raw.x, hi))
+    assert certificate_verdict(lp, raw, 1e-12).ok
+
+
+@pytest.mark.parametrize("rhs", [1, 0.5], ids=["bound-flip", "pivot"])
+def test_endless_phase_hits_the_iteration_limit(monkeypatch, rhs):
+    # Pricing that always offers column 1 never ends the phase: against
+    # x1 <= 1 each step flips x1 between its bounds, and against x1 <= 0.5
+    # x1 pivots in and then pivots on its own row.  One row, two
+    # structural columns and one slack give the limit.
+    import delsarte.solver as solver
+
+    calls = []
+
+    def endless(rc, allowed, eps):
+        calls.append(1)
+        return 1
+
+    monkeypatch.setattr(solver, "price_dantzig", endless)
+    lp = make_lp([(0, 1), (0, 1)], [({1: 1}, "<=", rhs)], [1, 1])
+    with pytest.raises(SimplexError, match="iteration limit exceeded"):
+        simplex_solve(lp)
+    assert len(calls) == solver.PIVOTS_PER_COLUMN * (1 + 3) + 1
 
 
 def test_torus_scale_battery_against_reference():
@@ -349,6 +457,32 @@ def test_ratio_tests_match_loops(data):
     )
 
 
+def ref_leave_bounded(col, rhs, upper, bound):
+    # Rows whose basic variable rises to a finite upper bound enter the
+    # Harris loop as positive entries over the distance left.
+    rises = [a < 0 and u < math.inf for a, u in zip(col, upper)]
+    a = [-x if r else x for x, r in zip(col, rises)]
+    b = [u - x if r else x for x, u, r in zip(rhs, upper, rises)]
+    leave = ref_leave_harris(a, b)
+    if leave < 0 or bound <= b[leave] / a[leave]:
+        return -1, False
+    return leave, rises[leave]
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_with_rhs(), st.data())
+def test_bounded_ratio_test_matches_loop(data, draw):
+    col, rhs, _ = data
+    upper = np.array(
+        draw.draw(st.lists(st.sampled_from([math.inf, 1.0, 3.0, 4.0]),
+                           min_size=col.size, max_size=col.size))
+    )
+    bound = draw.draw(st.sampled_from([math.inf, 0.5, 1.0, 2.0]))
+    assert leave_bounded(
+        col, rhs, upper, bound, PIVOT_TOL, HARRIS_SLACK, TINY
+    ) == ref_leave_bounded(col, rhs, upper, bound)
+
+
 @settings(max_examples=200, deadline=None)
 @given(column_with_rhs(), st.lists(st.integers(1, 3), min_size=16, max_size=16))
 def test_exact_bland_rule_matches_loop(data, scales):
@@ -384,7 +518,7 @@ def test_dual_polish_rules_match_loops(data, rhs):
 @pytest.mark.parametrize(
     "mode, formulation, iterations, phase1",
     [
-        ("delsarte", "primal", 551, 132),
+        ("delsarte", "primal", 726, 133),
         ("turan", "fourier", 118, 64),
         ("delsarte", "fourier", 82, 13),
     ],

@@ -343,6 +343,16 @@ def test_degenerate_torus_programs_solve(mode, formulation, half):
     assert sol.value == pytest.approx(scipy_reference_value(spec), rel=1e-8)
 
 
+def test_bound_flips_are_counted_in_solve_stats():
+    # With the whole of Z5 as the Turan set the Fourier form's optimum puts
+    # fhat(0) at its bound |G|: phase 1 pivots once and phase 2 flips once.
+    group = FiniteAbelianGroup((5,))
+    sol = solve(ProblemSpec.turan(group, SymmetricSet.full(group)), "fourier")
+    assert sol.certificate_verdict.ok and sol.value == 5.0
+    assert (sol.stats.iterations, sol.stats.bound_flips) == (1, 1)
+    assert sol.var_values[0] == 5.0 and sol.dual_certificate.upper_bounds[0] > 0
+
+
 def test_lp_rows_reference_valid_variables_and_finite_bounds():
     for build in (build_primal, build_fourier_form):
         lp = build(ProblemSpec.turan(Z8, OMEGA_Z8))
