@@ -10,7 +10,11 @@ orbit.
 
 Two formulations are built from the same pairing data: the primal form
 in function values and an independent Fourier-side form in spectrum
-values; their agreement is the standing cross-check.  A dense two-phase
+values; their agreement is the standing cross-check.  By default ``solve``
+picks the form from its input: a float problem gets the Fourier form when
+it has fewer LP rows (always in Delsarte mode), an exact one always gets
+the primal form, so that a group and its subgroups solve LPs whose
+irrational cosines are lifted the same way.  A dense two-phase
 simplex is the single solving engine; it pivots either in float64
 (bounded variables, Dantzig pricing, Harris ratio test) or in exact
 arithmetic on a fraction-free integer tableau (Bland's rule, used by the
@@ -33,7 +37,7 @@ import numpy as np
 from .classes import ClassSpec, ClassVerdict, SymmetricSet, in_class
 from .discretize import TorusSpec, sample_set
 from .groups import cos_turn, cos_turn_exact
-from .harmonic import GroupFunction
+from .harmonic import GroupFunction, Spectrum, idft
 from .realsets import RealSet1D
 
 FLOAT = "float"
@@ -834,36 +838,75 @@ class Solution:
 def _reconstruct(spec: ProblemSpec, lp: LinearProgram, x: Sequence, formulation: str) -> list:
     """f on the whole group from its values on negation-orbit
     representatives: the primal variables themselves, or the Fourier
-    inversion of the spectrum variables, evaluated once per orbit because
-    g and -g pair with every character at turns t and 1 - t, which
-    ``cos_turn`` folds to the same value."""
+    inversion of the spectrum variables.  In float the inversion is
+    ``harmonic.idft`` of the orbit values spread over the full spectrum
+    (times h, since the variables are h-free); in exact arithmetic it is
+    evaluated once per orbit, because g and -g pair with every character
+    at turns t and 1 - t, which ``cos_turn`` folds to the same value."""
     group = spec.group
     exact = spec.arithmetic == EXACT
     zero = Fraction(0) if exact else 0.0
     reps, orbit_values = lp.var_labels, x
     if formulation == "fourier":
         chi_reps = [label[1] for label in lp.var_labels]
-        _, chi_size = _char_orbits(group)
-        reps, orbit_values = _element_orbits(group)[0], []
-        for g in reps:
-            acc = zero
-            for k, u in zip(chi_reps, x):
-                if u != 0:
-                    acc += u * _pairing_coeff(group, g, k, chi_size[k], exact)
-            orbit_values.append(acc / group.size)
+        reps = _element_orbits(group)[0]
+        if exact:
+            _, chi_size = _char_orbits(group)
+            orbit_values = []
+            for g in reps:
+                acc = zero
+                for k, u in zip(chi_reps, x):
+                    if u != 0:
+                        acc += u * _pairing_coeff(group, g, k, chi_size[k], True)
+                orbit_values.append(acc / group.size)
+        else:
+            spectrum = np.zeros(group.size)
+            spectrum[chi_reps] = x
+            spectrum[[group.char_neg_index(k) for k in chi_reps]] = x
+            f = idft(Spectrum(group, spectrum * float(lp.objective_scale)))
+            orbit_values = f.values[reps].tolist()
     values = [zero] * group.size
     for rep, value in zip(reps, orbit_values):
         values[rep] = values[group.neg_index(rep)] = value
     return values
 
 
-def solve(spec: ProblemSpec, formulation: str = "primal") -> Solution:
+def _auto_formulation(spec: ProblemSpec) -> str:
+    """The form ``solve`` takes by default: the one with fewer LP rows for a
+    float problem, ties going to primal, and primal for an exact problem.
+
+    The Fourier form has 2·(element orbits outside Ω₊ ∪ Ω₋) − (character
+    orbits) more rows than the primal one, so the count needs neither LP.
+    Exact problems stay primal because a group and a subgroup solved in
+    different forms lift different irrational cosines to ``Fraction``, and
+    the reduction identity would then lose exact equality.
+    """
+    if spec.arithmetic == EXACT:
+        return "primal"
+    covered = spec.omega_plus.indices | spec.omega_minus.indices
+    outside = sum(1 for g in _element_orbits(spec.group)[0] if g not in covered)
+    if 2 * outside < len(_char_orbits(spec.group)[0]):
+        return "fourier"
+    return "primal"
+
+
+def solve(spec: ProblemSpec, formulation: str = "auto") -> Solution:
     """Build, solve and validate one extremal problem.
+
+    ``formulation`` is "primal", "fourier" or "auto" (``_auto_formulation``):
+    a float problem solves the form with fewer LP rows, ties going to
+    primal, and an exact problem always solves the primal form.  Float
+    Delsarte problems always get the Fourier form; a Turan problem on a
+    cyclic group gets it only when Ω₊ covers more than half of the
+    negation orbits, so Turan intervals on a torus grid stay primal.
+    ``Solution.formulation`` records the form solved.
 
     Class emptiness is a status, not an error: if the identity is not an
     admissible plus point the value is 0 by convention.
     """
     start = time.perf_counter()
+    if formulation == "auto":
+        formulation = _auto_formulation(spec)
     builder = {"primal": build_primal, "fourier": build_fourier_form}[formulation]
     try:
         lp = builder(spec)

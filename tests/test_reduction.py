@@ -14,7 +14,7 @@ from delsarte.reduction import (
     restrict_set,
     trivial_extension,
 )
-from delsarte.solver import EXACT, ProblemSpec, solve
+from delsarte.solver import EXACT, ProblemSpec, solve, verify_certificate
 
 G43 = FiniteAbelianGroup((4, 3))
 
@@ -169,3 +169,36 @@ def test_reduction_equality_randomized_exact():
         assert report.both_generated.exact_equal, (group, mode)
         done += 1
     assert done == 25
+
+
+Z10 = FiniteAbelianGroup((10,))
+Z3Z5 = FiniteAbelianGroup((3, 5))
+Z2Z5 = FiniteAbelianGroup((2, 5))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ProblemSpec.turan(Z10, SymmetricSet.from_signed(Z10, [-2, 0, 2]), arithmetic=EXACT),
+        ProblemSpec.delsarte(
+            Z3Z5, SymmetricSet.from_signed(Z3Z5, [(0, 0), (0, 1), (0, -1)]),
+            arithmetic=EXACT,
+        ),
+        ProblemSpec.general(
+            Z2Z5, SymmetricSet.from_signed(Z2Z5, [(0, 0), (0, 2), (0, -2)]),
+            SymmetricSet.from_signed(Z2Z5, [(1, 0), (0, 1), (0, -1)]), arithmetic=EXACT,
+        ),
+    ],
+    ids=["z10-turan", "z3xz5-delsarte", "z2xz5-general"],
+)
+def test_reduction_equality_exact_with_irrational_cosines(spec):
+    # Order-5 phases have irrational cosines, lifted from float64.  The
+    # group and each subgroup must lift them inside the same (primal) form
+    # for the reduction identity to hold exactly, although a float problem
+    # on Z3xZ5 or Z2xZ5 here would solve the smaller Fourier form.
+    report = reduce_and_compare(spec)
+    for comp in (report.plus_generated, report.both_generated):
+        assert comp.exact_equal, comp.subgroup_order
+        for sol in (comp.solution_group, comp.solution_subgroup):
+            assert sol.formulation == "primal"
+            assert verify_certificate(sol, tol=0.0).ok

@@ -522,6 +522,7 @@ def test_dual_polish_rules_match_loops(data, rhs):
         ("turan", "fourier", 118, 64),
         ("delsarte", "fourier", 82, 13),
     ],
+    ids=["delsarte-primal", "turan-fourier", "delsarte-fourier"],
 )
 def test_pivot_sequence_is_pinned(mode, formulation, iterations, phase1):
     # [-1,1] on torus 8, N = 128.  Any change to a selection rule or to

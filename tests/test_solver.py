@@ -1,16 +1,18 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from _generators import scipy_reference_value
+from _generators import random_group, random_symmetric_set, scipy_reference_value
 from delsarte.classes import SymmetricSet, in_class
 from delsarte.discretize import TorusSpec, sample_set
 from delsarte.groups import FiniteAbelianGroup
-from delsarte.harmonic import dft
+from delsarte.harmonic import dft, dft_reference
 from delsarte.realsets import parse_real_set
+from delsarte.reduction import SubgroupView
 from delsarte.solver import (
     EXACT,
     ClassEmptyProblem,
@@ -363,3 +365,85 @@ def test_lp_rows_reference_valid_variables_and_finite_bounds():
                 assert math.isfinite(float(a))
         for lo, hi in lp.var_bounds:
             assert math.isfinite(float(lo)) and math.isfinite(float(hi))
+
+
+def test_default_delsarte_n1024_solves_in_fourier_form():
+    # Torus 8, N = 1024: the primal LP (m = 898) stalls in its dual polish,
+    # the Fourier LP the default picks for a float Delsarte problem does not.
+    sol, warning = solve_discretized(
+        parse_real_set("[-1,1]"), None, TorusSpec(Fraction(8), 1024), mode="delsarte"
+    )
+    assert warning is None
+    assert sol.formulation == "fourier"
+    assert sol.certificate_verdict.ok
+    assert sol.value == pytest.approx(scipy_reference_value(sol.spec), abs=1e-8)
+
+
+def test_default_formulation_has_fewer_rows():
+    # The closed-form row count behind the default, checked against both
+    # builders: a float problem solves the form with fewer rows, ties going
+    # to primal; an exact one always solves the primal form.
+    z6 = FiniteAbelianGroup((6,))
+    tie = ProblemSpec.turan(z6, SymmetricSet.from_signed(z6, [-1, 0, 1]))
+    assert len(build_primal(tie).rows) == len(build_fourier_form(tie).rows) == 5
+    assert solve(tie).formulation == "primal"
+    rng = random.Random(1107)
+    chosen = {"primal": 0, "fourier": 0}
+    for i in range(60):
+        group = random_group(rng, 48)
+        omega_plus = random_symmetric_set(group, rng, 0.5, ensure_zero=True)
+        mode = ("turan", "delsarte", "general")[i % 3]
+        if mode == "turan":
+            spec = ProblemSpec.turan(group, omega_plus)
+        elif mode == "delsarte":
+            spec = ProblemSpec.delsarte(group, omega_plus)
+        else:
+            spec = ProblemSpec.general(
+                group, omega_plus, random_symmetric_set(group, rng, 0.3)
+            )
+        primal_rows = len(build_primal(spec).rows)
+        fourier_rows = len(build_fourier_form(spec).rows)
+        sol = solve(spec)
+        expected = "fourier" if fourier_rows < primal_rows else "primal"
+        assert sol.formulation == expected, (group, mode, primal_rows, fourier_rows)
+        assert sol.certificate_verdict.ok
+        chosen[expected] += 1
+        if fourier_rows < primal_rows and group.size <= 12:
+            exact = solve(replace(spec, arithmetic=EXACT))
+            assert exact.formulation == "primal"
+    assert min(chosen.values()) > 0, chosen
+
+
+def spectrum_of_variables(sol) -> np.ndarray:
+    """The LP's h-free spectrum variables spread over every character and
+    scaled by the Haar weight."""
+    group = sol.spec.group
+    out = np.zeros(group.size)
+    for (_, k), u in zip(sol.lp.var_labels, sol.var_values):
+        out[k] = out[group.char_neg_index(k)] = u
+    return out * float(group.weight)
+
+
+def fourier_cases():
+    cases = []
+    for orders, weight in (((12,), 1), ((4, 6), Fraction(1, 3)), ((3, 5, 2), Fraction(5, 2))):
+        group = FiniteAbelianGroup(orders, weight)
+        plus = SymmetricSet.from_signed(group, [(0,) * len(orders), (1,) * len(orders),
+                                                (-1,) * len(orders)])
+        cases.append(ProblemSpec.delsarte(group, plus))
+    parent = FiniteAbelianGroup((6, 6), Fraction(1, 4))
+    view = SubgroupView(parent.subgroup_generated([parent.index_of((1, 2))]))
+    cases.append(ProblemSpec.delsarte(view, SymmetricSet.from_indices(view, {0, 1, 5})))
+    cases.append(ProblemSpec.turan(view, SymmetricSet.from_indices(view, {0, 1, 5})))
+    return cases
+
+
+@pytest.mark.parametrize("spec", fourier_cases(),
+                         ids=["z12", "z4xz6", "z3xz5xz2", "view-delsarte", "view-turan"])
+def test_fourier_reconstruction_matches_reference_transform(spec):
+    # The FFT (or, on a subgroup view, the quadratic) inverse transform of
+    # the spectrum variables, transformed back by the exact-phase reference.
+    sol = solve(spec, "fourier")
+    assert sol.certificate_verdict.ok
+    reference = dft_reference(sol.extremal_function).values
+    assert np.abs(reference - spectrum_of_variables(sol)).max() <= 1e-12
