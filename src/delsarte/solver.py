@@ -6,13 +6,14 @@ symmetric sets.  Restricting to even functions loses nothing: averaging
 f with its reflection preserves the spectrum sign, the normalization,
 the sign constraints and the objective, and it makes every spectral row
 real.  One variable per negation orbit, one spectral row per character
-orbit.
+orbit; f(0) = 1 and the sign constraints are bounds on the variables,
+so the spectral rows are the primal form's only rows.
 
 Two formulations are built from the same pairing data: the primal form
 in function values and an independent Fourier-side form in spectrum
 values; their agreement is the standing cross-check.  By default ``solve``
 picks the form from its input: a float problem gets the Fourier form when
-it has fewer LP rows (always in Delsarte mode), an exact one always gets
+it has fewer LP rows (in Delsarte mode unless Ω₊ = {0}), an exact one gets
 the primal form, so that a group and its subgroups solve LPs whose
 irrational cosines are lifted the same way.  A dense two-phase
 simplex is the single solving engine; it pivots either in float64
@@ -137,9 +138,6 @@ class LinearProgram:
     def num_vars(self) -> int:
         return len(self.var_labels)
 
-    def rows_with_label(self, head: str) -> list[LPRow]:
-        return [r for r in self.rows if r.label[0] == head]
-
 
 def _element_orbits(group) -> tuple[list[int], dict[int, int]]:
     """Negation-orbit representatives (smallest index) and orbit sizes."""
@@ -176,10 +174,10 @@ def _pairing_coeff(group, g_index: int, chi_index: int, count: int, exact: bool)
 def build_primal(spec: ProblemSpec) -> LinearProgram:
     """LP in function values on negation-orbit representatives.
 
-    Constraints: f(0) = 1, sign rows outside the plus/minus sets, and one
-    nonnegative-spectrum row per character orbit.  Orbits outside both
-    sign sets are fixed to zero and dropped (both sign constraints are
-    active there).
+    The rows are one nonnegative-spectrum row per character orbit.  f(0) = 1
+    and the sign conditions are variable bounds: orbit 0 lies in [1, 1],
+    any other in [-1 if in Ω₋ else 0, 1 if in Ω₊ else 0], and orbits
+    outside both sign sets would lie in [0, 0], so they are dropped.
     """
     group = spec.group
     if 0 not in spec.omega_plus:
@@ -191,24 +189,18 @@ def build_primal(spec: ProblemSpec) -> LinearProgram:
 
     reps, rep_size = _element_orbits(group)
     var_reps = [r for r in reps if r == 0 or r in plus or r in minus]
-    pos = {r: j for j, r in enumerate(var_reps)}
-    bounds = tuple((-one, one) for _ in var_reps)
-
-    rows: list[LPRow] = [LPRow(("normalization",), ((pos[0], one),), "=", one)]
-    for r in var_reps:
-        if r == 0:
-            continue
-        if r not in plus:
-            rows.append(LPRow(("sign_plus", r), ((pos[r], one),), "<=", zero))
-        if r not in minus:
-            rows.append(LPRow(("sign_minus", r), ((pos[r], one),), ">=", zero))
-    chi_reps, _ = _char_orbits(group)
-    for k in chi_reps:
+    bounds = tuple(
+        (one, one) if r == 0
+        else (-one if r in minus else zero, one if r in plus else zero)
+        for r in var_reps
+    )
+    rows = []
+    for k in _char_orbits(group)[0]:
         coeffs = tuple(
-            (pos[r], _pairing_coeff(group, r, k, rep_size[r], exact)) for r in var_reps
+            (j, _pairing_coeff(group, r, k, rep_size[r], exact))
+            for j, r in enumerate(var_reps)
         )
         rows.append(LPRow(("spectral", k), coeffs, ">=", zero))
-
     objective = tuple(
         (Fraction(rep_size[r]) if exact else float(rep_size[r])) for r in var_reps
     )
@@ -875,17 +867,19 @@ def _auto_formulation(spec: ProblemSpec) -> str:
     """The form ``solve`` takes by default: the one with fewer LP rows for a
     float problem, ties going to primal, and primal for an exact problem.
 
-    The Fourier form has 2·(element orbits outside Ω₊ ∪ Ω₋) − (character
-    orbits) more rows than the primal one, so the count needs neither LP.
-    Exact problems stay primal because a group and a subgroup solved in
-    different forms lift different irrational cosines to ``Fraction``, and
-    the reduction identity would then lose exact equality.
+    The primal form has one row per character orbit, and the Fourier form
+    1 + (nonzero element orbits outside Ω₊) + (nonzero element orbits
+    outside Ω₋), so the count needs neither LP.  Exact problems stay
+    primal because a group and a subgroup solved in different forms lift
+    different irrational cosines to ``Fraction``, and the reduction
+    identity would then lose exact equality.
     """
     if spec.arithmetic == EXACT:
         return "primal"
-    covered = spec.omega_plus.indices | spec.omega_minus.indices
-    outside = sum(1 for g in _element_orbits(spec.group)[0] if g not in covered)
-    if 2 * outside < len(_char_orbits(spec.group)[0]):
+    plus, minus = spec.omega_plus.indices, spec.omega_minus.indices
+    reps = _element_orbits(spec.group)[0]
+    fourier_rows = 1 + sum((g not in plus) + (g not in minus) for g in reps if g != 0)
+    if fourier_rows < len(_char_orbits(spec.group)[0]):
         return "fourier"
     return "primal"
 
@@ -895,9 +889,9 @@ def solve(spec: ProblemSpec, formulation: str = "auto") -> Solution:
 
     ``formulation`` is "primal", "fourier" or "auto" (``_auto_formulation``):
     a float problem solves the form with fewer LP rows, ties going to
-    primal, and an exact problem always solves the primal form.  Float
-    Delsarte problems always get the Fourier form; a Turan problem on a
-    cyclic group gets it only when Ω₊ covers more than half of the
+    primal, and an exact problem always solves the primal form.  A float
+    Delsarte problem gets the Fourier form unless Ω₊ = {0}; a Turan
+    problem gets it only when Ω₊ covers more than half of the nonzero
     negation orbits, so Turan intervals on a torus grid stay primal.
     ``Solution.formulation`` records the form solved.
 
@@ -907,7 +901,9 @@ def solve(spec: ProblemSpec, formulation: str = "auto") -> Solution:
     start = time.perf_counter()
     if formulation == "auto":
         formulation = _auto_formulation(spec)
-    builder = {"primal": build_primal, "fourier": build_fourier_form}[formulation]
+    builder = {"primal": build_primal, "fourier": build_fourier_form}.get(formulation)
+    if builder is None:
+        raise ValueError(f"unknown formulation {formulation!r}: primal, fourier or auto")
     try:
         lp = builder(spec)
     except ClassEmptyProblem:

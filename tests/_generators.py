@@ -87,28 +87,26 @@ def random_symmetric_set(
 
 def scipy_reference_value(spec: ProblemSpec) -> float:
     """Independent full-size LP: one variable per element, no evenness or
-    orbit reduction, characters materialized directly, solved by HiGHS."""
+    orbit reduction, characters materialized directly, solved by HiGHS.
+
+    The pairing of g and chi_k is a whole number p of 1/L turns, with
+    L = lcm of the cyclic orders, so the cosine matrix comes from one
+    integer matrix product reduced mod L."""
     from scipy.optimize import linprog
 
     group = spec.group
     n = group.size
     plus, minus = spec.omega_plus.indices, spec.omega_minus.indices
-    bounds = []
-    for g in range(n):
-        if g == 0:
-            bounds.append((1.0, 1.0))
-        else:
-            lo = -1.0 if g in minus else 0.0
-            hi = 1.0 if g in plus else 0.0
-            bounds.append((lo, hi))
-    rows = []
-    for k in range(n):
-        rows.append(
-            [-math.cos(2 * math.pi * float(group.pairing_turn(g, k))) for g in range(n)]
-        )
+    bounds = [(1.0, 1.0)]
+    for g in range(1, n):
+        bounds.append((-1.0 if g in minus else 0.0, 1.0 if g in plus else 0.0))
+    turns = math.lcm(*group.orders)
+    coords = np.array([group.coords_of(g) for g in range(n)], dtype=np.int64)
+    per_turn = np.array([turns // order for order in group.orders], dtype=np.int64)
+    phases = (coords * per_turn) @ coords.T % turns
     res = linprog(
         c=[-1.0] * n,
-        A_ub=np.array(rows),
+        A_ub=-np.cos(2 * math.pi * (phases / turns)),
         b_ub=np.zeros(n),
         bounds=bounds,
         method="highs",

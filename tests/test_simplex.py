@@ -518,7 +518,7 @@ def test_dual_polish_rules_match_loops(data, rhs):
 @pytest.mark.parametrize(
     "mode, formulation, iterations, phase1",
     [
-        ("delsarte", "primal", 726, 133),
+        ("delsarte", "primal", 746, 278),
         ("turan", "fourier", 118, 64),
         ("delsarte", "fourier", 82, 13),
     ],
@@ -537,9 +537,11 @@ def test_pivot_sequence_is_pinned(mode, formulation, iterations, phase1):
 
 # -- the exact path, pinned ---------------------------------------------------
 #
-# Values, pivot counts and row multipliers of three exact programs.  Bland's
-# rule on exact data admits one pivot sequence, so a change to the exact
-# tableau arithmetic or to the rules moves these.
+# Values, pivot counts, row multipliers and bound multipliers of three exact
+# programs.  Bland's rule on exact data admits one pivot sequence, so a
+# change to the exact tableau arithmetic or to the rules moves these.  The
+# primal rows are the spectral rows alone; the multipliers of f(0) = 1 and
+# of the sign conditions are those of the variable bounds.
 
 GRID32_DEN = "272731358340920502802657740031018725777109034728816774886560709"
 
@@ -565,27 +567,31 @@ def z6xz6_reduction():
 
 
 @pytest.mark.parametrize(
-    "build, value, counts, rows, duals",
+    "build, value, counts, rows, duals, upper",
     [
-        (z32_delsarte, "4", (63, 62), 31,
-         {0: "4", 1: "8", 5: "8", 9: "8", 13: "4", 22: "-2", 30: "-1"}),
+        (z32_delsarte, "4", (20, 18), 17, {8: "-2", 16: "-1"},
+         {0: "4", 4: "8", 8: "8", 12: "8", 16: "4"}),
         (grid32_turan,
          "1385895015227995076499288930506197655067433158737389153247138757"
          "/1090925433363682011210630960124074903108436138915267099546242836",
-         (24, 18), 18,
-         {0: f"1385895015227995076499288930506197655067433158737389153247138757/{GRID32_DEN}",
-          7: f"-345086093385347776919082254713364466113612242616463820738002944/{GRID32_DEN}",
-          8: f"-214283653242527437119816103720252149174042104920780996211638272/{GRID32_DEN}",
-          13: f"-111512835477582670650041570344071494223458533706433908065697792/{GRID32_DEN}",
-          14: f"-442281074781616689007691261697490819779211242764893653345239040/{GRID32_DEN}"}),
-        (z6xz6_reduction, "3", (24, 23), 25, {0: "3", 1: "4", 2: "4", 6: "-2"}),
+         (13, 7), 17,
+         {6: f"-345086093385347776919082254713364466113612242616463820738002944/{GRID32_DEN}",
+          7: f"-214283653242527437119816103720252149174042104920780996211638272/{GRID32_DEN}",
+          12: f"-111512835477582670650041570344071494223458533706433908065697792/{GRID32_DEN}",
+          13: f"-442281074781616689007691261697490819779211242764893653345239040/{GRID32_DEN}"},
+         {0: f"1385895015227995076499288930506197655067433158737389153247138757/{GRID32_DEN}"}),
+        (z6xz6_reduction, "3", (18, 13), 20, {1: "-2"}, {0: "3", 1: "4", 2: "4"}),
     ],
     ids=["z32-delsarte", "grid32-turan", "z6xz6-reduction"],
 )
-def test_exact_path_is_pinned(build, value, counts, rows, duals):
+def test_exact_path_is_pinned(build, value, counts, rows, duals, upper):
     sol = solve(build())
     assert verify_certificate(sol, tol=0.0).ok
     assert sol.value_exact == Fraction(value)
     assert (sol.stats.iterations, sol.stats.phase1_iterations) == counts
+    cert = sol.dual_certificate
     expected = tuple(Fraction(duals.get(i, 0)) for i in range(rows))
-    assert tuple(y for _, y in sol.dual_certificate.rows) == expected
+    assert tuple(y for _, y in cert.rows) == expected
+    nv = sol.lp.num_vars
+    assert cert.upper_bounds == tuple(Fraction(upper.get(j, 0)) for j in range(nv))
+    assert cert.lower_bounds == (Fraction(0),) * nv

@@ -6,7 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _generators import random_group, random_symmetric_set, scipy_reference_value
+from _generators import (
+    nice_random_group,
+    random_group,
+    random_symmetric_set,
+    scipy_reference_value,
+)
 from delsarte.classes import SymmetricSet, in_class
 from delsarte.discretize import TorusSpec, sample_set
 from delsarte.groups import FiniteAbelianGroup
@@ -31,15 +36,24 @@ OMEGA_Z8 = SymmetricSet.from_signed(Z8, [-1, 0, 1])
 
 
 def test_build_primal_orbit_and_row_counts():
+    # The rows are the five spectral rows alone; f(0) = 1 and the sign
+    # conditions are the variables' bounds.
     lp = build_primal(ProblemSpec.turan(Z8, OMEGA_Z8))
     assert lp.var_labels == (0, 1)  # orbits {0} and {1,7}
-    assert len(lp.rows_with_label("spectral")) == 5
-    assert len(lp.rows_with_label("normalization")) == 1
-    assert lp.rows_with_label("sign_plus") == []
-    assert all(lo == -1 and hi == 1 for lo, hi in lp.var_bounds)
+    assert [row.label for row in lp.rows] == [("spectral", k) for k in range(5)]
+    assert all(row.sense == ">=" and row.rhs == 0 for row in lp.rows)
+    assert lp.var_bounds == ((1, 1), (-1, 1))
     for row in lp.rows:
         for j, _ in row.coeffs:
             assert 0 <= j < lp.num_vars
+    # Orbit 1 only in Ω₊, orbit 2 only in Ω₋, orbits 3 and 4 in neither.
+    spec = ProblemSpec.general(
+        Z8, OMEGA_Z8, SymmetricSet.from_signed(Z8, [-2, 2]), arithmetic=EXACT
+    )
+    lp = build_primal(spec)
+    assert lp.var_labels == (0, 1, 2)
+    assert lp.var_bounds == ((1, 1), (0, 1), (-1, 0))
+    assert [row.label for row in lp.rows] == [("spectral", k) for k in range(5)]
 
 
 def test_build_primal_single_point():
@@ -367,14 +381,19 @@ def test_lp_rows_reference_valid_variables_and_finite_bounds():
             assert math.isfinite(float(lo)) and math.isfinite(float(hi))
 
 
-def test_default_delsarte_n1024_solves_in_fourier_form():
-    # Torus 8, N = 1024: the primal LP (m = 898) stalls in its dual polish,
-    # the Fourier LP the default picks for a float Delsarte problem does not.
+@pytest.mark.parametrize(
+    "mode, formulation", [("delsarte", "fourier"), ("turan", "primal")],
+    ids=["delsarte-fourier", "turan-primal"],
+)
+def test_default_n1024_solves_in_fewer_rows_form(mode, formulation):
+    # Torus 8, N = 1024, through the default form.  Delsarte solves its
+    # Fourier LP (385 rows against 513 primal ones); a Turan interval leaves
+    # most orbits outside the set, so it stays primal (513 against 769).
     sol, warning = solve_discretized(
-        parse_real_set("[-1,1]"), None, TorusSpec(Fraction(8), 1024), mode="delsarte"
+        parse_real_set("[-1,1]"), None, TorusSpec(Fraction(8), 1024), mode=mode
     )
     assert warning is None
-    assert sol.formulation == "fourier"
+    assert sol.formulation == formulation
     assert sol.certificate_verdict.ok
     assert sol.value == pytest.approx(scipy_reference_value(sol.spec), abs=1e-8)
 
@@ -384,8 +403,9 @@ def test_default_formulation_has_fewer_rows():
     # builders: a float problem solves the form with fewer rows, ties going
     # to primal; an exact one always solves the primal form.
     z6 = FiniteAbelianGroup((6,))
-    tie = ProblemSpec.turan(z6, SymmetricSet.from_signed(z6, [-1, 0, 1]))
-    assert len(build_primal(tie).rows) == len(build_fourier_form(tie).rows) == 5
+    tie = ProblemSpec.general(z6, SymmetricSet.from_signed(z6, [-1, 0, 1]),
+                              SymmetricSet.from_signed(z6, [-2, -1, 1, 2]))
+    assert len(build_primal(tie).rows) == len(build_fourier_form(tie).rows) == 4
     assert solve(tie).formulation == "primal"
     rng = random.Random(1107)
     chosen = {"primal": 0, "fourier": 0}
@@ -447,3 +467,32 @@ def test_fourier_reconstruction_matches_reference_transform(spec):
     assert sol.certificate_verdict.ok
     reference = dft_reference(sol.extremal_function).values
     assert np.abs(reference - spectrum_of_variables(sol)).max() <= 1e-12
+
+
+def test_unknown_formulation_is_a_value_error():
+    with pytest.raises(ValueError, match="dual.*primal, fourier or auto"):
+        solve(ProblemSpec.turan(Z8, OMEGA_Z8), "dual")
+
+
+@pytest.mark.parametrize("mode", ["turan", "delsarte", "general"])
+def test_exact_fourier_form_matches_exact_primal(mode):
+    # On groups whose pairing cosines are all rational both forms hold the
+    # same exact data, so their optima agree exactly and both certificates
+    # verify with zero tolerance.
+    rng = random.Random({"turan": 31, "delsarte": 37, "general": 41}[mode])
+    for _ in range(6):
+        group = nice_random_group(rng, 24)
+        plus = random_symmetric_set(group, rng, 0.4, ensure_zero=True)
+        if mode == "turan":
+            spec = ProblemSpec.turan(group, plus, arithmetic=EXACT)
+        elif mode == "delsarte":
+            spec = ProblemSpec.delsarte(group, plus, arithmetic=EXACT)
+        else:
+            spec = ProblemSpec.general(
+                group, plus, random_symmetric_set(group, rng, 0.4), arithmetic=EXACT
+            )
+        primal, fourier = solve(spec, "primal"), solve(spec, "fourier")
+        assert isinstance(primal.value_exact, Fraction)
+        assert primal.value_exact == fourier.value_exact, (group, mode)
+        assert verify_certificate(primal, tol=0.0).ok
+        assert verify_certificate(fourier, tol=0.0).ok
