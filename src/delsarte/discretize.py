@@ -77,6 +77,8 @@ def sample_set(s: RealSet1D, torus: TorusSpec) -> DiscreteProblemSet:
     """Indices j in (-N/2, N/2] with j * step in S, decided exactly."""
     if not is_symmetric(s):
         raise ValueError("discretization requires a symmetric set")
+    if not s.is_bounded:
+        raise ValueError(f"discretization requires a bounded set, got {s.to_literal()}")
     half = torus.circumference / 2
     if not s.is_empty and closure(s).sup_abs() >= half:
         raise ValueError(

@@ -2,9 +2,15 @@
 
 Elements and characters are indexed in mixed-radix order with the last
 coordinate fastest, so a function on the group is a dense array of length
-``|G|`` and index 0 is the identity.  Character phases are kept as exact
-rational numbers of turns; complex values are materialized only at use
-sites, which keeps symmetry and equality checks exact.
+``|G|`` and index 0 is the identity.  Every character phase is a whole
+number p of 1/L turns, where L is the lcm of the cyclic orders
+(``phase_modulus``): chi_k(g) = exp(2*pi*i * p / L) with
+p = sum g_i k_i (L / n_i) mod L (``phase_index``).  Phases stay integers,
+so symmetry and equality checks are exact; ``pairing_turn`` gives the
+same phase as the fraction p / L, and complex values are materialized
+only at use sites.  The exact cosines of a group are the L entries of
+``exact_cosines``, each lifted once from its phase by ``cos_turn_exact``
+(or from float64 where the cosine is irrational).
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -94,6 +101,8 @@ class FiniteAbelianGroup:
     weight: Fraction = Fraction(1)
     _strides: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _neg: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    phase_modulus: int = field(init=False, repr=False, compare=False)
+    _per_turn: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         orders = tuple(int(n) for n in self.orders)
@@ -113,6 +122,9 @@ class FiniteAbelianGroup:
         object.__setattr__(
             self, "_neg", tuple(self._neg_index_raw(i) for i in range(acc))
         )
+        modulus = math.lcm(*orders)
+        object.__setattr__(self, "phase_modulus", modulus)
+        object.__setattr__(self, "_per_turn", tuple(modulus // n for n in orders))
 
     @property
     def size(self) -> int:
@@ -183,12 +195,27 @@ class FiniteAbelianGroup:
             raise ValueError("element belongs to a different group")
         return self.element(self.neg_index(g.index))
 
+    def phase_index(self, g_index: int, chi_index: int) -> int:
+        """Phase of chi(g) in units of 1/L turns, an integer in [0, L)."""
+        p = 0
+        for n, s, w in zip(self.orders, self._strides, self._per_turn):
+            p += ((g_index // s) % n) * ((chi_index // s) % n) * w
+        return p % self.phase_modulus
+
     def pairing_turn(self, g_index: int, chi_index: int) -> Fraction:
         """Phase of chi(g) in turns, as an exact fraction in [0, 1)."""
-        t = Fraction(0)
-        for n, s in zip(self.orders, self._strides):
-            t += Fraction(((g_index // s) % n) * ((chi_index // s) % n), n)
-        return _fold_turn(t)
+        return Fraction(self.phase_index(g_index, chi_index), self.phase_modulus)
+
+    @cached_property
+    def exact_cosines(self) -> tuple[Fraction, ...]:
+        """cos(2*pi*p/L) for every phase index p, exact where rational and
+        lifted from float64 otherwise; built once per group."""
+        out = []
+        for p in range(self.phase_modulus):
+            t = Fraction(p, self.phase_modulus)
+            value = cos_turn_exact(t)
+            out.append(Fraction(cos_turn(t)) if value is None else value)
+        return tuple(out)
 
     def char_neg_index(self, chi_index: int) -> int:
         # The dual group has the same mixed-radix coordinates.

@@ -10,8 +10,9 @@ Normal form merges touching intervals whose union is an interval, e.g.
 endpoint: (-1,1) u (1,2) stays two pieces, and that puncture at 1 is
 exactly what the boundary-coherence predicate must see.
 
-Unbounded pieces (used internally by complements and exteriors) carry
-``None`` endpoints; the public parser only builds bounded sets.
+Unbounded pieces (from complements and exteriors, or literals such as
+"(-inf,-1]u[1,inf)") carry ``None`` endpoints.  The extremal problems need
+bounded sets; a torus rejects an unbounded one.
 """
 
 from __future__ import annotations
@@ -442,27 +443,37 @@ def is_strictly_star_shaped(s: RealSet1D) -> bool:
 _PIECE_RE = re.compile(r"([\[\(])([^,\[\]\(\)]+),([^,\[\]\(\)]+)([\]\)])")
 
 
+def _endpoint(text: str, infinite: str, part: str) -> Fraction | None:
+    """A rational endpoint, or None for the infinite end ``infinite``."""
+    if text == infinite:
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational endpoint in {part!r}: {exc}") from exc
+
+
 def parse_real_set(text: str) -> RealSet1D:
     """Parse a set literal such as "[-2,2]" or "(-2,-1)u(-1,1)u(1,2)".
 
-    Rational endpoints are written "p/q".  The literal "{}" is the empty set.
+    Rational endpoints are written "p/q"; "-inf" and "inf" are infinite
+    ends, which must be open, so every ``to_literal`` output parses back.
+    The literal "{}" is the empty set.
     """
     body = text.strip().replace(" ", "")
     if body in ("{}", ""):
         return RealSet1D.empty()
     pieces = []
-    pos = 0
     for part in body.split("u"):
         m = _PIECE_RE.fullmatch(part)
         if not m:
             raise ValueError(f"unrecognized interval {part!r} in set literal {text!r}")
-        try:
-            left = Fraction(m.group(2))
-            right = Fraction(m.group(3))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad rational endpoint in {part!r}: {exc}") from exc
-        if left >= right:
+        left = _endpoint(m.group(2), "-inf", part)
+        right = _endpoint(m.group(3), "inf", part)
+        if left is not None and right is not None and left >= right:
             raise ValueError(f"interval {part!r} needs left < right")
-        pieces.append(Interval(left, right, m.group(1) == "[", m.group(4) == "]"))
-        pos += len(part)
+        try:
+            pieces.append(Interval(left, right, m.group(1) == "[", m.group(4) == "]"))
+        except ValueError as exc:
+            raise ValueError(f"{exc} in {part!r}") from exc
     return RealSet1D(pieces)

@@ -4,9 +4,12 @@ that checks the equal-constants reduction on concrete instances.
 A subgroup inherits the parent's Haar weight (the restricted measure), its
 addition, and its characters: every character of the subgroup arises by
 restricting a parent character, so the subgroup's dual is enumerated by
-deduplicating restricted phase signatures.  That keeps all pairing phases
-exact and literally shared between the two problems, which is what makes
-the reduction equality exact in rational arithmetic.
+deduplicating restricted phase signatures.  A signature is a tuple of
+integer phases p over the parent's modulus L (the lcm of its orders), and
+the subgroup reads its exact cosines from the parent's table of L values.
+So every pairing phase, and every cosine lifted from it, is literally
+shared between the two problems, which is what makes the reduction
+equality exact in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ class SubgroupView:
     transform and the solver: indices 0..|H|-1 in parent-index order."""
 
     __slots__ = (
-        "parent", "members", "weight", "_index_in_sub", "_char_turns", "_char_neg",
+        "parent", "members", "weight", "phase_modulus", "_index_in_sub",
+        "_char_phases", "_char_neg",
     )
 
     def __init__(self, subgroup: Subgroup):
@@ -34,26 +38,25 @@ class SubgroupView:
         self.parent = parent
         self.members = members
         self.weight = Fraction(parent.weight)
+        self.phase_modulus = modulus = parent.phase_modulus
         self._index_in_sub = {g: i for i, g in enumerate(members)}
         # Characters: deduplicated restrictions of the parent's characters in
         # order of first appearance, until all |H| of them are found.
-        seen: dict[tuple, int] = {}
-        turns: list[tuple] = []
+        seen: dict[tuple[int, ...], int] = {}
+        phases: list[tuple[int, ...]] = []
         for chi in range(parent.size):
-            signature = tuple(parent.pairing_turn(g, chi) for g in members)
+            signature = tuple(parent.phase_index(g, chi) for g in members)
             if signature not in seen:
-                seen[signature] = len(turns)
-                turns.append(signature)
-                if len(turns) == len(members):
+                seen[signature] = len(phases)
+                phases.append(signature)
+                if len(phases) == len(members):
                     break
-        if len(turns) != len(members):
+        if len(phases) != len(members):
             raise ValueError("character restriction did not produce a full dual")
-        self._char_turns = tuple(turns)
-        neg = []
-        for signature in turns:
-            negated = tuple(t and 1 - t for t in signature)
-            neg.append(seen[negated])
-        self._char_neg = tuple(neg)
+        self._char_phases = tuple(phases)
+        self._char_neg = tuple(
+            seen[tuple(p and modulus - p for p in signature)] for signature in phases
+        )
 
     @property
     def size(self) -> int:
@@ -69,8 +72,15 @@ class SubgroupView:
     def neg_index(self, i: int) -> int:
         return self._index_in_sub[self.parent.neg_index(self.members[i])]
 
+    def phase_index(self, g_index: int, chi_index: int) -> int:
+        return self._char_phases[chi_index][g_index]
+
     def pairing_turn(self, g_index: int, chi_index: int) -> Fraction:
-        return self._char_turns[chi_index][g_index]
+        return Fraction(self.phase_index(g_index, chi_index), self.phase_modulus)
+
+    @property
+    def exact_cosines(self) -> tuple[Fraction, ...]:
+        return self.parent.exact_cosines
 
     def char_neg_index(self, k: int) -> int:
         return self._char_neg[k]

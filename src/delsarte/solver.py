@@ -19,15 +19,20 @@ irrational cosines are lifted the same way.  A dense two-phase
 simplex is the single solving engine; it pivots either in float64
 (bounded variables, Dantzig pricing, Harris ratio test) or in exact
 arithmetic on a fraction-free integer tableau (Bland's rule, used by the
-exact path only).  Rational pairing values are used exactly where the
-phase admits one (denominators 1, 2, 3, 4, 6); other phases are lifted
-from float64, so "exact" means exact pivoting on exactly represented row
-data.
+exact path only).  An exact program reads its cosines from the group's
+table of L values, one per integer phase p / L (``groups``): exact
+where the phase admits a rational cosine (reduced denominators 1, 2, 3,
+4, 6) and lifted from float64 otherwise, so "exact" means exact pivoting
+on exactly represented row data.  An exact certificate check compares
+exact numbers: its row activities and stationarity residuals are integer
+dot products over common denominators, so at zero tolerance it passes
+only a certificate that holds exactly.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -37,7 +42,7 @@ import numpy as np
 
 from .classes import ClassSpec, ClassVerdict, SymmetricSet, in_class
 from .discretize import TorusSpec, sample_set
-from .groups import cos_turn, cos_turn_exact
+from .groups import cos_turn
 from .harmonic import GroupFunction, Spectrum, idft
 from .realsets import RealSet1D
 
@@ -161,14 +166,12 @@ def _char_orbits(group) -> tuple[list[int], dict[int, int]]:
 
 
 def _pairing_coeff(group, g_index: int, chi_index: int, count: int, exact: bool):
-    """count * cos of the pairing phase, in the requested arithmetic."""
-    t = group.pairing_turn(g_index, chi_index)
+    """count * cos of the pairing phase, in the requested arithmetic: an
+    exact one reads the group's cosine table at the integer phase."""
     if exact:
-        value = cos_turn_exact(t)
-        if value is None:
-            value = Fraction(cos_turn(t))
-        return count * value
-    return count * cos_turn(t)
+        value = group.exact_cosines[group.phase_index(g_index, chi_index)]
+        return value if count == 1 else count * value
+    return count * cos_turn(group.pairing_turn(g_index, chi_index))
 
 
 def build_primal(spec: ProblemSpec) -> LinearProgram:
@@ -415,7 +418,7 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     """
     if lp.arithmetic == EXACT:
         return _exact_simplex(lp)
-    rows, upper = _shifted_rows(lp, 0.0)
+    rows, upper = _shifted_rows(lp)
     nv, m = lp.num_vars, len(rows)
     flipped, surplus_col, unit_col, artificial, ncols = _standard_form(rows, nv)
     T = np.zeros((m + 1, ncols + 1))  # row m: reduced costs
@@ -592,26 +595,40 @@ def _exact_simplex(lp: LinearProgram) -> RawOptimum:
     denominators, so every choice is the one the rational tableau makes;
     values become ``Fraction``s only at extraction.  No tolerances, no
     perturbation.
+
+    Each row over xt = x - lo enters as integer numerators over the lcm of
+    its denominators (which leaves them with gcd 1), followed by one box
+    row xt_j <= hi_j - lo_j per variable.
     """
-    rows, upper = _shifted_rows(lp, Fraction(0))
     nv = lp.num_vars
-    for j, u in enumerate(upper):  # one explicit box row per variable
-        dense = [Fraction(0)] * nv
-        dense[j] = Fraction(1)
-        rows.append((dense, "<=", u))
+    lo_num, lo_den = _over_common([b[0] for b in lp.var_bounds])
+    rows, dens = [], []
+    for r in lp.rows:
+        dense, d = _integer_row(r, nv)
+        rhs = r.rhs - Fraction(_dot(dense, lo_num), d * lo_den)
+        common = math.lcm(d, rhs.denominator)
+        if common != d:
+            dense = [a * (common // d) for a in dense]
+        rows.append((dense, r.sense, rhs.numerator * (common // rhs.denominator)))
+        dens.append(common)
+    for j, (lo, hi) in enumerate(lp.var_bounds):
+        u = hi - lo
+        dense = [0] * nv
+        dense[j] = u.denominator
+        rows.append((dense, "<=", u.numerator))
+        dens.append(u.denominator)
     flipped, surplus_col, unit_col, artificial, ncols = _standard_form(rows, nv)
     m = len(rows)
     M = np.zeros((m + 1, ncols + 1), dtype=object)
     den = np.ones(m + 1, dtype=object)
     basis = np.zeros(m, dtype=np.intp)
     for i, (dense, _, rhs) in enumerate(rows):
-        # The lcm of the denominators leaves numerators with gcd 1.
-        d = math.lcm(rhs.denominator, *(a.denominator for a in dense))
-        M[i, :nv] = [a.numerator * (d // a.denominator) for a in dense]
+        d = dens[i]
+        M[i, :nv] = dense
         if i in surplus_col:
             M[i, surplus_col[i]] = -d
         M[i, unit_col[i]] = d
-        M[i, ncols] = rhs.numerator * (d // rhs.denominator)
+        M[i, ncols] = rhs
         den[i] = d
         basis[i] = unit_col[i]
 
@@ -688,9 +705,10 @@ def _exact_simplex(lp: LinearProgram) -> RawOptimum:
 
     iterations = phase1_iterations + run_phase(_phase2_cost(lp, ncols, 0), not_art)
 
-    xt = [Fraction(0)] * ncols
+    xt = [Fraction(0)] * nv
     for i in range(m):
-        xt[basis[i]] = Fraction(M[i, ncols], den[i])
+        if basis[i] < nv:
+            xt[basis[i]] = Fraction(M[i, ncols], den[i])
     obj = [Fraction(a, den[m]) for a in M[m]]
     y = _row_duals(obj, unit_col, flipped)
     return _optimum(
@@ -699,15 +717,15 @@ def _exact_simplex(lp: LinearProgram) -> RawOptimum:
     )
 
 
-def _shifted_rows(lp: LinearProgram, zero):
-    """The rows over xt = x - lo as (dense coefficients, sense, rhs), and
-    the upper bounds hi - lo of xt."""
+def _shifted_rows(lp: LinearProgram):
+    """The rows of a float program over xt = x - lo as (dense coefficients,
+    sense, rhs), and the upper bounds hi - lo of xt."""
     nv = lp.num_vars
     lo = [b[0] for b in lp.var_bounds]
     rows = []
     for r in lp.rows:
-        dense = [zero] * nv
-        shift = zero
+        dense = [0.0] * nv
+        shift = 0.0
         for j, a in r.coeffs:
             dense[j] = a
             shift += a * lo[j]
@@ -744,6 +762,34 @@ def _standard_form(rows: list, nv: int):
         unit_col.append(ncols)
         ncols += 1
     return flipped, surplus_col, unit_col, artificial, ncols
+
+
+def _over_common(values) -> tuple[list[int], int]:
+    """Exact rationals as integer numerators over their least common
+    denominator."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _integer_row(row: LPRow, nv: int) -> tuple[list[int], int]:
+    """An exact row's coefficients as dense integer numerators over their
+    least common denominator."""
+    nums, d = _over_common([a for _, a in row.coeffs])
+    dense = [0] * nv
+    for (j, _), a in zip(row.coeffs, nums):
+        dense[j] = a
+    return dense, d
+
+
+def _dot(a, b) -> int:
+    return sum(map(operator.mul, a, b))
+
+
+def _exact_dot(a, b) -> Fraction:
+    """sum a_k b_k of exact rationals as one Fraction."""
+    na, da = _over_common(a)
+    nb, db = _over_common(b)
+    return Fraction(_dot(na, nb), da * db)
 
 
 def _phase2_cost(lp: LinearProgram, ncols: int, zero) -> list:
@@ -964,8 +1010,13 @@ def solve(spec: ProblemSpec, formulation: str = "auto") -> Solution:
 
 
 def _dual_objective(lp: LinearProgram, row_duals, upper_duals, lower_duals):
-    exact = lp.arithmetic == EXACT
-    acc = Fraction(0) if exact else 0.0
+    """b . y + hi . mu - lo . nu, by integer dot products when exact."""
+    if lp.arithmetic == EXACT:
+        lo, hi = zip(*lp.var_bounds)
+        rhs = [r.rhs for r in lp.rows]
+        return (_exact_dot([*row_duals, *upper_duals], [*rhs, *hi])
+                - _exact_dot(lower_duals, lo))
+    acc = 0.0
     for row, y in zip(lp.rows, row_duals):
         acc += y * row.rhs
     for j, mu in enumerate(upper_duals):
@@ -984,11 +1035,69 @@ class CertificateVerdict:
         return self.ok
 
 
+def _float_residuals(lp: LinearProgram, x, y, upper, lower):
+    """Row slacks rhs - a . x and stationarity residuals
+    c_j - sum_i y_i a_ij - mu_j + nu_j of a float program."""
+    row_maps = [dict(row.coeffs) for row in lp.rows]
+    slacks = [
+        row.rhs - sum((a * x[j] for j, a in coeffs.items()), 0.0)
+        for row, coeffs in zip(lp.rows, row_maps)
+    ]
+    residuals = []
+    for j in range(lp.num_vars):
+        stat = lp.objective[j]
+        for coeffs, y_i in zip(row_maps, y):
+            coeff = coeffs.get(j)
+            if coeff is not None:
+                stat = stat - y_i * coeff
+        residuals.append(stat - upper[j] + lower[j])
+    return slacks, residuals
+
+
+def _exact_residuals(lp: LinearProgram, x, y, upper, lower):
+    """The same slacks and residuals of an exact program, each one
+    Fraction built from an integer dot product over a common denominator."""
+    nv = lp.num_vars
+    X, dx = _over_common(x)
+    rows = [_integer_row(row, nv) for row in lp.rows]
+    slacks = []
+    for row, (A, d) in zip(lp.rows, rows):
+        den = d * dx
+        slacks.append(Fraction(
+            row.rhs.numerator * den - row.rhs.denominator * _dot(A, X),
+            row.rhs.denominator * den,
+        ))
+    # y_i a_ij = y_i.numerator A_ij / (y_i.denominator d_i); one denominator
+    # D takes these terms and every c_j, mu_j and nu_j.
+    D = math.lcm(
+        *(y_i.denominator * d for y_i, (_, d) in zip(y, rows) if y_i),
+        *(v.denominator for v in (*lp.objective, *upper, *lower)),
+    )
+
+    def scaled(v) -> int:
+        return v.numerator * (D // v.denominator)
+
+    acc = [scaled(c) - scaled(mu) + scaled(nu) for c, mu, nu in zip(lp.objective, upper, lower)]
+    for y_i, (A, d) in zip(y, rows):
+        if y_i:
+            w = y_i.numerator * (D // (y_i.denominator * d))
+            acc = [r - w * a for r, a in zip(acc, A)]
+    return slacks, [Fraction(r, D) for r in acc]
+
+
+def _negligible(a, b, eps) -> bool:
+    """|a b| <= eps max(1, |a|): a complementary-slackness product."""
+    return not a or not b or abs(a * b) <= eps * max(1, abs(a))
+
+
 def verify_certificate(sol: Solution, tol: float | None = None) -> CertificateVerdict:
     """Dual feasibility, complementary slackness and the weak-duality gap.
 
     Empty-class solutions pass vacuously.  Any violated condition is
-    reported with the offending row or bound label.
+    reported with the offending row or bound label.  Exact programs are
+    checked on exact numbers (the tolerance too is taken as the exact
+    value of its float), so ``tol=0`` passes only an exact certificate;
+    floats appear only in the messages.
     """
     if sol.status == "class_empty":
         return CertificateVerdict(True, ())
@@ -999,64 +1108,61 @@ def verify_certificate(sol: Solution, tol: float | None = None) -> CertificateVe
     if tol is None:
         tol = 0.0 if exact else max(sol.spec.tolerance, 1e-9)
     x = sol.var_values
+    y = [y_i for _, y_i in cert.rows]
     violations: list[str] = []
 
-    def check(condition: bool, message: str) -> None:
+    def check(condition: bool, message) -> None:
+        # ``message`` is a callable, so passing checks format nothing.
         if not condition:
-            violations.append(message)
+            violations.append(message())
 
-    scale = max(1.0, abs(float(sol.value)))
-    row_maps = [dict(row.coeffs) for row in lp.rows]
-    for row, coeffs, (label, y) in zip(lp.rows, row_maps, cert.rows):
-        activity = sum((a * x[j] for j, a in coeffs.items()), Fraction(0) if exact else 0.0)
-        slack = float(row.rhs - activity)
+    eps = tol * max(1.0, abs(float(sol.value)))
+    if exact:
+        eps = Fraction(eps)
+    floor, stat_eps = -eps, eps * 10
+    residual_fn = _exact_residuals if exact else _float_residuals
+    slacks, residuals = residual_fn(lp, x, y, cert.upper_bounds, cert.lower_bounds)
+    for row, slack, (label, y_i) in zip(lp.rows, slacks, cert.rows):
         name = _row_name(label)
         if row.sense == "<=":
-            check(slack >= -tol * scale, f"{name}: primal row violated by {-slack}")
-            check(float(y) >= -tol * scale, f"{name}: multiplier sign ({y})")
+            check(slack >= floor, lambda: f"{name}: primal row violated by {float(-slack)}")
+            check(y_i >= floor, lambda: f"{name}: multiplier sign ({y_i})")
         elif row.sense == ">=":
-            check(slack <= tol * scale, f"{name}: primal row violated by {slack}")
-            check(float(y) <= tol * scale, f"{name}: multiplier sign ({y})")
+            check(slack <= eps, lambda: f"{name}: primal row violated by {float(slack)}")
+            check(y_i <= eps, lambda: f"{name}: multiplier sign ({y_i})")
         check(
-            abs(float(y) * slack) <= tol * scale * max(1.0, abs(float(y))),
-            f"{name}: complementary slackness (y={y}, slack={slack})",
+            _negligible(y_i, slack, eps),
+            lambda: f"{name}: complementary slackness (y={y_i}, slack={float(slack)})",
         )
-    for j in range(lp.num_vars):
+    for j, residual in enumerate(residuals):
         lo_j, hi_j = lp.var_bounds[j]
         nu = cert.lower_bounds[j]
         mu = cert.upper_bounds[j]
+        above_lo, below_hi = x[j] - lo_j, hi_j - x[j]
         name = f"variable[{lp.var_labels[j]}]"
-        check(float(x[j]) >= float(lo_j) - tol * scale, f"{name}: below lower bound")
-        check(float(x[j]) <= float(hi_j) + tol * scale, f"{name}: above upper bound")
-        check(float(nu) >= -tol * scale, f"{name}: lower multiplier sign ({nu})")
-        check(float(mu) >= -tol * scale, f"{name}: upper multiplier sign ({mu})")
+        check(above_lo >= floor, lambda: f"{name}: below lower bound")
+        check(below_hi >= floor, lambda: f"{name}: above upper bound")
+        check(nu >= floor, lambda: f"{name}: lower multiplier sign ({nu})")
+        check(mu >= floor, lambda: f"{name}: upper multiplier sign ({mu})")
+        check(_negligible(nu, above_lo, eps),
+              lambda: f"{name}: lower-bound complementary slackness")
+        check(_negligible(mu, below_hi, eps),
+              lambda: f"{name}: upper-bound complementary slackness")
         check(
-            abs(float(nu) * float(x[j] - lo_j)) <= tol * scale * max(1.0, abs(float(nu))),
-            f"{name}: lower-bound complementary slackness",
-        )
-        check(
-            abs(float(mu) * float(hi_j - x[j])) <= tol * scale * max(1.0, abs(float(mu))),
-            f"{name}: upper-bound complementary slackness",
-        )
-        stat = lp.objective[j]
-        for coeffs, (label, y) in zip(row_maps, cert.rows):
-            coeff = coeffs.get(j)
-            if coeff is not None:
-                stat = stat - y * coeff
-        stat = stat - mu + nu
-        check(
-            abs(float(stat)) <= tol * scale * 10,
-            f"{name}: dual stationarity residual {float(stat)}",
+            -stat_eps <= residual <= stat_eps,
+            lambda: f"{name}: dual stationarity residual {float(residual)}",
         )
     # Recompute the dual objective from the multipliers themselves; the
     # certificate is the multipliers, not a claimed gap.
-    dual_obj = _dual_objective(
-        lp, [y for _, y in cert.rows], cert.upper_bounds, cert.lower_bounds
-    )
-    gap = float(sol.value) - float(lp.objective_scale) * float(dual_obj)
+    dual_obj = _dual_objective(lp, y, cert.upper_bounds, cert.lower_bounds)
+    if exact:
+        value = Fraction(sol.value) if sol.value_exact is None else sol.value_exact
+        gap = value - lp.objective_scale * dual_obj
+    else:
+        gap = float(sol.value) - float(lp.objective_scale) * float(dual_obj)
     check(
         abs(gap) <= max(tol, sol.spec.tolerance) * max(1.0, abs(float(sol.value))),
-        f"duality gap {gap}",
+        lambda: f"duality gap {float(gap)}",
     )
     return CertificateVerdict(not violations, tuple(violations))
 

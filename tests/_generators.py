@@ -85,6 +85,39 @@ def random_symmetric_set(
     )
 
 
+def fraction_phase(group: FiniteAbelianGroup, g_index: int, chi_index: int) -> Fraction:
+    """The pairing phase of g and chi_k in turns, folded into [0, 1), as a
+    sum of one Fraction per cyclic factor: the definition that the integer
+    phase index p / L must agree with."""
+    t = sum(
+        (
+            Fraction(a * b, n)
+            for a, b, n in zip(
+                group.coords_of(g_index), group.coords_of(chi_index), group.orders
+            )
+        ),
+        Fraction(0),
+    )
+    return t - math.floor(t)
+
+
+def fraction_dual(subgroup) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+    """The dual of a subgroup in the order ``SubgroupView`` enumerates it,
+    from Fraction signatures: the restrictions of the parent's characters
+    to the members, deduplicated in order of first appearance, and for each
+    one the position of its negation."""
+    group = subgroup.group
+    seen: dict[tuple[Fraction, ...], int] = {}
+    signatures: list[tuple[Fraction, ...]] = []
+    for chi in range(group.size):
+        signature = tuple(fraction_phase(group, g, chi) for g in subgroup.members)
+        if signature not in seen:
+            seen[signature] = len(signatures)
+            signatures.append(signature)
+    negation = [seen[tuple(-t % 1 for t in signature)] for signature in signatures]
+    return signatures, negation
+
+
 def scipy_reference_value(spec: ProblemSpec) -> float:
     """Independent full-size LP: one variable per element, no evenness or
     orbit reduction, characters materialized directly, solved by HiGHS.

@@ -146,6 +146,9 @@ BAD_INPUTS = {
     "group-weight-divides-by-zero": lambda d: [
         "solve", "--group", "Z8,weight=1/0", "--omega-plus", "{0}",
     ],
+    "unbounded-omega-on-a-torus": lambda d: [
+        "solve", "--torus", "8", "--grid", "16", "--omega-plus", "(-inf,-1]u[1,inf)",
+    ],
 }
 
 

@@ -2,7 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _generators import fraction_phase
 from delsarte.groups import (
     MAX_ORDER,
     FiniteAbelianGroup,
@@ -153,3 +156,56 @@ def test_parse_group_literals():
     for text in (f"Z{MAX_ORDER + 1}", "Z256xZ257", "Z999999999"):
         with pytest.raises(ValueError, match="exceeds the limit"):
             parse_group(text)
+
+
+@st.composite
+def group_and_pair(draw, max_order: int = 4096):
+    """A group of 1-3 cyclic factors with order at most ``max_order``, and
+    an element and a character of it."""
+    orders = []
+    size = 1
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, max_order // size))
+        orders.append(n)
+        size *= n
+    group = FiniteAbelianGroup(tuple(orders))
+    g = draw(st.integers(0, group.size - 1))
+    chi = draw(st.integers(0, group.size - 1))
+    return group, g, chi
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_and_pair())
+def test_phase_index_matches_fraction_phase(case):
+    group, g, chi = case
+    modulus = group.phase_modulus
+    assert modulus == math.lcm(*group.orders)
+    reference = fraction_phase(group, g, chi)
+    assert 0 <= group.phase_index(g, chi) < modulus
+    assert Fraction(group.phase_index(g, chi), modulus) == reference
+    assert group.pairing_turn(g, chi) == reference
+
+
+def test_exact_cosines_lift_every_phase_once():
+    g = FiniteAbelianGroup((8, 3))
+    table = g.exact_cosines
+    assert g.exact_cosines is table  # built once per group
+    assert len(table) == g.phase_modulus == 24
+    for p, value in enumerate(table):
+        t = Fraction(p, 24)
+        exact = cos_turn_exact(t)
+        assert value == (Fraction(cos_turn(t)) if exact is None else exact)
+    assert table[0] == 1 and table[8] == Fraction(-1, 2) and table[6] == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(
+        lambda orders: math.prod(orders) <= 256
+    ),
+    st.integers(0, 10**6),
+)
+def test_parse_group_round_trips(orders, weight_seed):
+    weight = Fraction(weight_seed % 97 + 1, weight_seed % 13 + 1)
+    group = FiniteAbelianGroup(tuple(orders), weight)
+    assert parse_group(str(group)) == group

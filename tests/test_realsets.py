@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from delsarte.realsets import (
+    Interval,
     RealSet1D,
     boundary,
     closure,
@@ -196,3 +199,83 @@ def test_boundary_coherence_survives_open_windows():
         piece = s.intersection(window)
         assert is_boundary_coherent(piece).ok, (s.to_literal(), str(w))
         checked += 1
+
+
+def test_literal_round_trip_keeps_infinite_ends():
+    complement = parse_real_set("[-1,1]").complement()
+    assert complement.to_literal() == "(-inf,-1)u(1,inf)"
+    assert parse_real_set(complement.to_literal()) == complement
+    assert parse_real_set("(-inf,inf)") == RealSet1D.real_line()
+    assert not parse_real_set("[0,inf)").is_bounded
+    for text in ("[-inf,1]", "(0,inf]", "(inf,1)", "(-1,-inf)"):
+        with pytest.raises(ValueError):
+            parse_real_set(text)
+
+
+@st.composite
+def real_sets(draw) -> RealSet1D:
+    """Unions of up to four intervals with endpoints on a small rational
+    grid; an outermost end is sometimes infinite."""
+    den = draw(st.sampled_from([1, 2, 3]))
+    pieces = []
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = sorted(draw(st.lists(st.integers(-12, 12), min_size=2, max_size=2,
+                                    unique=True)))
+        left = None if draw(st.integers(0, 5)) == 0 else Fraction(a, den)
+        right = None if draw(st.integers(0, 5)) == 0 else Fraction(b, den)
+        pieces.append(Interval(left, right, left is not None and draw(st.booleans()),
+                               right is not None and draw(st.booleans())))
+    return RealSet1D(pieces)
+
+
+def complement_or_none(s: RealSet1D) -> RealSet1D | None:
+    """The complement, or None when it has an isolated point."""
+    try:
+        return s.complement()
+    except ValueError:
+        return None
+
+
+SET_LAWS = settings(max_examples=300, deadline=None)
+
+
+@SET_LAWS
+@given(real_sets())
+def test_parse_inverts_to_literal(s):
+    assert parse_real_set(s.to_literal()) == s
+
+
+@SET_LAWS
+@given(real_sets())
+def test_complement_is_an_involution(s):
+    c = complement_or_none(s)
+    assume(c is not None)
+    assert c.complement() == s
+    assert c.intersection(s).is_empty
+
+
+@SET_LAWS
+@given(real_sets(), real_sets())
+def test_de_morgan(a, b):
+    ca, cb = complement_or_none(a), complement_or_none(b)
+    assume(ca is not None and cb is not None)
+    c_union = complement_or_none(a.union(b))
+    if c_union is not None:
+        assert c_union == ca.intersection(cb)
+    meet = a.intersection(b)
+    # An intersection drops the points where a and b only touch; the law
+    # is about point sets, so it applies when no point was dropped.
+    shared = [x for x in a.endpoints() + b.endpoints() if a.contains(x) and b.contains(x)]
+    assume(all(meet.contains(x) for x in shared))
+    c_meet = complement_or_none(meet)
+    if c_meet is not None:
+        assert c_meet == ca.union(cb)
+
+
+@SET_LAWS
+@given(real_sets())
+def test_interior_set_closure_chain(s):
+    assert interior(s).is_subset_of(s)
+    assert s.is_subset_of(closure(s))
+    assert interior(s) == interior(interior(s))
+    assert closure(s) == closure(closure(s))

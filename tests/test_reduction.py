@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _generators import fraction_dual
 from delsarte.classes import ClassSpec, SymmetricSet, in_class
 from delsarte.groups import FiniteAbelianGroup
 from delsarte.harmonic import GroupFunction, autocorrelation, is_positive_definite
 from delsarte.reduction import (
     SubgroupEmbedding,
+    SubgroupView,
     reduce_and_compare,
     restrict,
     restrict_set,
@@ -202,3 +206,30 @@ def test_reduction_equality_exact_with_irrational_cosines(spec):
         for sol in (comp.solution_group, comp.solution_subgroup):
             assert sol.formulation == "primal"
             assert verify_certificate(sol, tol=0.0).ok
+
+
+@st.composite
+def subgroup_of_small_group(draw):
+    """A group of 1-3 cyclic factors and order at most 64, and the subgroup
+    generated by up to three of its elements."""
+    orders = []
+    size = 1
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 64 // size))
+        orders.append(n)
+        size *= n
+    group = FiniteAbelianGroup(tuple(orders))
+    generators = draw(st.lists(st.integers(0, group.size - 1), max_size=3))
+    return group.subgroup_generated(generators)
+
+
+@settings(max_examples=120, deadline=None)
+@given(subgroup_of_small_group())
+def test_subgroup_dual_matches_fraction_signatures(subgroup):
+    view = SubgroupView(subgroup)
+    signatures, negation = fraction_dual(subgroup)
+    assert len(signatures) == view.size
+    assert view.phase_modulus == subgroup.group.phase_modulus
+    for k, signature in enumerate(signatures):
+        assert tuple(view.pairing_turn(g, k) for g in range(view.size)) == signature
+        assert view.char_neg_index(k) == negation[k]
