@@ -10,7 +10,9 @@ so symmetry and equality checks are exact; ``pairing_turn`` gives the
 same phase as the fraction p / L, and complex values are materialized
 only at use sites.  The exact cosines of a group are the L entries of
 ``exact_cosines``, each lifted once from its phase by ``cos_turn_exact``
-(or from float64 where the cosine is irrational).
+(or from float64 where the cosine is irrational).  Exact programs take
+their row data from that table, so their zero-tolerance certificate
+checks compare exact numbers throughout.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ integer phases p over the parent's modulus L (the lcm of its orders), and
 the subgroup reads its exact cosines from the parent's table of L values.
 So every pairing phase, and every cosine lifted from it, is literally
 shared between the two problems, which is what makes the reduction
-equality exact in rational arithmetic.
+equality exact in rational arithmetic; the certificates of both solves
+pass a zero-tolerance check, which compares exact numbers.
 """
 
 from __future__ import annotations
