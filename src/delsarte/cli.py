@@ -17,6 +17,7 @@ ends optimal but its certificate fails verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -97,7 +98,11 @@ def parse_discrete_set(group: FiniteAbelianGroup, text: str) -> SymmetricSet:
             depth += 1
         elif ch == ")":
             depth -= 1
+            if depth < 0:
+                break
         token += ch
+    if depth != 0:
+        raise InputError(f"unbalanced parentheses in {text!r}")
     return SymmetricSet.from_signed(group, members)
 
 
@@ -125,18 +130,13 @@ def emit_figure_data(function: GroupFunction | None, path: str | Path) -> None:
     h = float(group.weight)
     rows = []
     for i in range(group.size):
-        signed = group.signed_coords(i) if hasattr(group, "signed_coords") else (i,)
-        if len(signed) == 1:
-            coord = signed[0] * h
-            key: tuple = (signed[0],)
-        else:
-            coord = None
-            key = signed
-        rows.append((key, signed, coord, function(i)))
+        signed = group.signed_coords(i)
+        coord = signed[0] * h if len(signed) == 1 else None
+        rows.append((signed, coord, function(i)))
     rows.sort(key=lambda r: r[0])
     with open(path, "w", newline="") as fh:
         fh.write("coordinate,value\n")
-        for _, signed, coord, value in rows:
+        for signed, coord, value in rows:
             label = fmt_sig(coord) if coord is not None else ";".join(map(str, signed))
             fh.write(f"{label},{fmt_sig(value)}\n")
 
@@ -349,7 +349,9 @@ def _cmd_reduce(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: each build leaves cyclic garbage (help formatters)."""
     parser = argparse.ArgumentParser(
         prog="delsarte",
         description="Extremal problems for positive definite functions "

@@ -2,9 +2,10 @@
 
 Transform convention: the forward transform carries the Haar weight and
 the inverse carries 1/(h*|G|), so the value at the trivial character is
-exactly the integral of the function.  The naive quadratic-time summation
-with exact rational phases is the reference path; the product-structure
-fast path (numpy FFT) must reproduce it and is used by default.
+exactly the integral of the function.  Every transform is the numpy FFT
+of a product group; a subgroup view's functions go through its parent's,
+extended by zero.  The naive quadratic-time summation with exact rational
+phases (``dft_reference``) is the reference the FFT path is tested against.
 """
 
 from __future__ import annotations
@@ -133,15 +134,34 @@ def _neg_permutation(group) -> np.ndarray:
     )
 
 
-def dft(f: GroupFunction) -> Spectrum:
-    """Forward transform; uses the factor-wise FFT on product groups."""
-    group = f.group
-    h = float(group.weight)
+def _fft_frame(group):
+    """The product group whose FFT serves ``group``, with the indices of its
+    elements and characters there (None for a product group itself)."""
     if hasattr(group, "orders"):
-        shaped = f.values.reshape(group.orders)
-        out = np.fft.fftn(shaped).reshape(-1) * h
-        return Spectrum(group, out)
-    return dft_reference(f)
+        return group, None, None
+    return group.parent, list(group.members), list(group.parent_characters)
+
+
+def _fftn(product, values: np.ndarray, at, inverse: bool = False) -> np.ndarray:
+    """fftn (or ifftn) over ``product`` of ``values``, put at ``at`` among zeros."""
+    if at is not None:
+        full = np.zeros(product.size, dtype=values.dtype)
+        full[at] = values
+        values = full
+    transform = np.fft.ifftn if inverse else np.fft.fftn
+    return transform(values.reshape(product.orders)).reshape(-1)
+
+
+def _read(values: np.ndarray, at) -> np.ndarray:
+    return values if at is None else values[at]
+
+
+def dft(f: GroupFunction) -> Spectrum:
+    """Forward transform; a view's is its trivial extension's, read at
+    ``parent_characters``."""
+    product, members, characters = _fft_frame(f.group)
+    out = _read(_fftn(product, f.values, members), characters)
+    return Spectrum(f.group, out * float(f.group.weight))
 
 
 def dft_reference(f: GroupFunction) -> Spectrum:
@@ -164,52 +184,32 @@ def dft_reference(f: GroupFunction) -> Spectrum:
     return Spectrum(group, out)
 
 
-def idft(spectrum: Spectrum, imag_tol: float = 1e-9) -> GroupFunction:
-    """Inverse transform back to a real function on the group."""
+def idft(spectrum: Spectrum) -> GroupFunction:
+    """Inverse transform back to a real function.  On a view, the parent's
+    inverse of the spectrum put at ``parent_characters`` is |H|/|G| of it."""
     group = spectrum.group
-    n = group.size
-    h = float(group.weight)
-    if hasattr(group, "orders"):
-        shaped = np.asarray(spectrum.values).reshape(group.orders)
-        out = np.fft.ifftn(shaped).reshape(-1) / h
-    else:
-        out = np.zeros(n, dtype=complex)
-        for g in range(n):
-            acc = 0j
-            for k in range(n):
-                acc += spectrum.values[k] * unit_turn(group.pairing_turn(g, k))
-            out[g] = acc / (h * n)
+    product, members, characters = _fft_frame(group)
+    out = _fftn(product, np.asarray(spectrum.values), characters, inverse=True)
+    out = _read(out, members) / float(group.weight) * (product.size // group.size)
     scale = max(1.0, float(np.abs(out).max()))
-    if np.abs(out.imag).max() > imag_tol * scale:
+    if np.abs(out.imag).max() > 1e-9 * scale:
         raise ValueError("inverse transform produced a non-real function")
     return GroupFunction(group, out.real)
 
 
 def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
-    """(f * g)(x) = h * sum_y f(y) g(x - y)."""
+    """(f * g)(x) = h * sum_y f(y) g(x - y), on a view that of the extensions."""
     if f.group != g.group:
         raise ValueError("convolution requires functions on the same group")
-    group = f.group
-    h = float(group.weight)
-    if hasattr(group, "orders"):
-        fa = np.fft.fftn(f.values.reshape(group.orders))
-        ga = np.fft.fftn(g.values.reshape(group.orders))
-        out = np.fft.ifftn(fa * ga).real.reshape(-1) * h
-        return GroupFunction(group, out)
-    n = group.size
-    out = np.zeros(n)
-    for x in range(n):
-        acc = 0.0
-        for y in range(n):
-            acc += f.values[y] * g.values[group.add_index(x, group.neg_index(y))]
-        out[x] = h * acc
-    return GroupFunction(group, out)
+    product, members, _ = _fft_frame(f.group)
+    fa = _fftn(product, f.values, members)
+    ga = _fftn(product, g.values, members)
+    out = _read(_fftn(product, fa * ga, None, inverse=True).real, members)
+    return GroupFunction(f.group, out * float(f.group.weight))
 
 
-def autocorrelation(
-    group, subset: Iterable[GroupElement | int], normalize: bool = True
-) -> GroupFunction:
-    """1_A convolved with 1_{-A}; positive definite with support in A - A."""
+def autocorrelation(group, subset: Iterable[GroupElement | int]) -> GroupFunction:
+    """(1_A * 1_{-A}) / (h|A|); positive definite with support in A - A."""
     indices = [a.index if isinstance(a, GroupElement) else int(a) for a in subset]
     if not indices:
         raise ValueError("autocorrelation of an empty subset")
@@ -217,10 +217,8 @@ def autocorrelation(
     neg = _neg_permutation(group)
     ind_neg = GroupFunction(group, ind.values[neg])
     out = convolve(ind, ind_neg)
-    if normalize:
-        scale = float(group.weight) * len(set(indices))
-        out = GroupFunction(group, out.values / scale)
-    return out
+    scale = float(group.weight) * len(set(indices))
+    return GroupFunction(group, out.values / scale)
 
 
 def pointwise_product(f: GroupFunction, g: GroupFunction) -> GroupFunction:
@@ -246,7 +244,7 @@ def fejer_kernel(group: FiniteAbelianGroup, m: int) -> GroupFunction:
     for _ in group.orders:
         box = [coords + (c,) for coords in box for c in range(m + 1)]
     indices = [group.index_of(coords) for coords in box]
-    return autocorrelation(group, indices, normalize=True)
+    return autocorrelation(group, indices)
 
 
 def evenize(f: GroupFunction) -> GroupFunction:

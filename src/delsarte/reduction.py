@@ -4,9 +4,11 @@ that checks the equal-constants reduction on concrete instances.
 A subgroup inherits the parent's Haar weight (the restricted measure), its
 addition, and its characters: every character of the subgroup arises by
 restricting a parent character, so the subgroup's dual is enumerated by
-deduplicating restricted phase signatures.  A signature is a tuple of
-integer phases p over the parent's modulus L (the lcm of its orders), and
-the subgroup reads its exact cosines from the parent's table of L values.
+deduplicating restricted phase signatures (tuples of integer phases p
+over the parent's modulus L, the lcm of its orders).  A view keeps, for
+each of its characters, the parent character that first restricted to it
+(``parent_characters``), and reads every phase and exact cosine from the
+parent; its transforms are the parent's FFT of the trivial extension.
 So every pairing phase, and every cosine lifted from it, is literally
 shared between the two problems, which is what makes the reduction
 equality exact in rational arithmetic; the certificates of both solves
@@ -26,11 +28,12 @@ from .solver import ProblemSpec, Solution, solve
 
 class SubgroupView:
     """A subgroup presented through the group interface used by the
-    transform and the solver: indices 0..|H|-1 in parent-index order."""
+    transform and the solver: indices 0..|H|-1 in parent-index order, and
+    character k the restriction of parent character ``parent_characters[k]``."""
 
     __slots__ = (
-        "parent", "members", "weight", "phase_modulus", "_index_in_sub",
-        "_char_phases", "_char_neg",
+        "parent", "members", "weight", "phase_modulus", "parent_characters",
+        "_index_in_sub", "_char_neg",
     )
 
     def __init__(self, subgroup: Subgroup):
@@ -44,19 +47,17 @@ class SubgroupView:
         # Characters: deduplicated restrictions of the parent's characters in
         # order of first appearance, until all |H| of them are found.
         seen: dict[tuple[int, ...], int] = {}
-        phases: list[tuple[int, ...]] = []
         for chi in range(parent.size):
             signature = tuple(parent.phase_index(g, chi) for g in members)
-            if signature not in seen:
-                seen[signature] = len(phases)
-                phases.append(signature)
-                if len(phases) == len(members):
-                    break
-        if len(phases) != len(members):
+            seen.setdefault(signature, chi)
+            if len(seen) == len(members):
+                break
+        if len(seen) != len(members):
             raise ValueError("character restriction did not produce a full dual")
-        self._char_phases = tuple(phases)
+        position = {signature: k for k, signature in enumerate(seen)}
+        self.parent_characters = tuple(seen.values())
         self._char_neg = tuple(
-            seen[tuple(p and modulus - p for p in signature)] for signature in phases
+            position[tuple(p and modulus - p for p in signature)] for signature in seen
         )
 
     @property
@@ -74,7 +75,7 @@ class SubgroupView:
         return self._index_in_sub[self.parent.neg_index(self.members[i])]
 
     def phase_index(self, g_index: int, chi_index: int) -> int:
-        return self._char_phases[chi_index][g_index]
+        return self.parent.phase_index(self.members[g_index], self.parent_characters[chi_index])
 
     def pairing_turn(self, g_index: int, chi_index: int) -> Fraction:
         return Fraction(self.phase_index(g_index, chi_index), self.phase_modulus)
@@ -88,6 +89,9 @@ class SubgroupView:
 
     def coords_of(self, i: int) -> tuple[int, ...]:
         return self.parent.coords_of(self.members[i])
+
+    def signed_coords(self, i: int) -> tuple[int, ...]:
+        return self.parent.signed_coords(self.members[i])
 
     def label(self, i: int) -> str:
         return self.parent.label(self.members[i])

@@ -144,25 +144,16 @@ class LinearProgram:
         return len(self.var_labels)
 
 
-def _element_orbits(group) -> tuple[list[int], dict[int, int]]:
-    """Negation-orbit representatives (smallest index) and orbit sizes."""
-    reps, size = [], {}
-    for i in range(group.size):
-        j = group.neg_index(i)
+def _orbits(size: int, neg) -> tuple[list[int], dict[int, int]]:
+    """Orbits of the involution ``neg`` on 0..size-1 (negation of elements
+    or of characters): representatives (smallest index) and orbit sizes."""
+    reps, sizes = [], {}
+    for i in range(size):
+        j = neg(i)
         if i <= j:
             reps.append(i)
-            size[i] = 1 if i == j else 2
-    return reps, size
-
-
-def _char_orbits(group) -> tuple[list[int], dict[int, int]]:
-    reps, size = [], {}
-    for k in range(group.size):
-        j = group.char_neg_index(k)
-        if k <= j:
-            reps.append(k)
-            size[k] = 1 if k == j else 2
-    return reps, size
+            sizes[i] = 1 if i == j else 2
+    return reps, sizes
 
 
 def _pairing_coeff(group, g_index: int, chi_index: int, count: int, exact: bool):
@@ -190,7 +181,7 @@ def build_primal(spec: ProblemSpec) -> LinearProgram:
     zero = Fraction(0) if exact else 0.0
     plus, minus = spec.omega_plus.indices, spec.omega_minus.indices
 
-    reps, rep_size = _element_orbits(group)
+    reps, rep_size = _orbits(group.size, group.neg_index)
     var_reps = [r for r in reps if r == 0 or r in plus or r in minus]
     bounds = tuple(
         (one, one) if r == 0
@@ -198,7 +189,7 @@ def build_primal(spec: ProblemSpec) -> LinearProgram:
         for r in var_reps
     )
     rows = []
-    for k in _char_orbits(group)[0]:
+    for k in _orbits(group.size, group.char_neg_index)[0]:
         coeffs = tuple(
             (j, _pairing_coeff(group, r, k, rep_size[r], exact))
             for j, r in enumerate(var_reps)
@@ -234,7 +225,7 @@ def build_fourier_form(spec: ProblemSpec) -> LinearProgram:
     n = group.size
     plus, minus = spec.omega_plus.indices, spec.omega_minus.indices
 
-    chi_reps, chi_size = _char_orbits(group)
+    chi_reps, chi_size = _orbits(group.size, group.char_neg_index)
     pos = {k: j for j, k in enumerate(chi_reps)}
     big = Fraction(n) if exact else float(n)
     bounds = tuple((zero, big) for _ in chi_reps)
@@ -247,7 +238,7 @@ def build_fourier_form(spec: ProblemSpec) -> LinearProgram:
             big,
         )
     ]
-    reps, _ = _element_orbits(group)
+    reps, _ = _orbits(group.size, group.neg_index)
     for g in reps:
         if g == 0:
             continue
@@ -878,18 +869,19 @@ def _reconstruct(spec: ProblemSpec, lp: LinearProgram, x: Sequence, formulation:
     representatives: the primal variables themselves, or the Fourier
     inversion of the spectrum variables.  In float the inversion is
     ``harmonic.idft`` of the orbit values spread over the full spectrum
-    (times h, since the variables are h-free); in exact arithmetic it is
+    (times h, since the variables are h-free), one inverse FFT on a
+    product group and on a subgroup view alike; in exact arithmetic it is
     evaluated once per orbit, because g and -g pair with every character
-    at turns t and 1 - t, which ``cos_turn`` folds to the same value."""
+    at phases p and L - p, which have the same cosine."""
     group = spec.group
     exact = spec.arithmetic == EXACT
     zero = Fraction(0) if exact else 0.0
     reps, orbit_values = lp.var_labels, x
     if formulation == "fourier":
         chi_reps = [label[1] for label in lp.var_labels]
-        reps = _element_orbits(group)[0]
+        reps = _orbits(group.size, group.neg_index)[0]
         if exact:
-            _, chi_size = _char_orbits(group)
+            _, chi_size = _orbits(group.size, group.char_neg_index)
             orbit_values = []
             for g in reps:
                 acc = zero
@@ -922,10 +914,11 @@ def _auto_formulation(spec: ProblemSpec) -> str:
     """
     if spec.arithmetic == EXACT:
         return "primal"
+    group = spec.group
     plus, minus = spec.omega_plus.indices, spec.omega_minus.indices
-    reps = _element_orbits(spec.group)[0]
+    reps = _orbits(group.size, group.neg_index)[0]
     fourier_rows = 1 + sum((g not in plus) + (g not in minus) for g in reps if g != 0)
-    if fourier_rows < len(_char_orbits(spec.group)[0]):
+    if fourier_rows < len(_orbits(group.size, group.char_neg_index)[0]):
         return "fourier"
     return "primal"
 
@@ -1263,7 +1256,7 @@ def sweep(
     tolerance: float = 1e-9,
 ) -> ConvergenceTable:
     """One solve per grid count, in the order given; every grid count is
-    checked before the first solve."""
+    checked before the first solve, and there must be at least one."""
 
     def run(torus: TorusSpec) -> SweepRow:
         start = time.perf_counter()
@@ -1283,4 +1276,6 @@ def sweep(
         )
 
     tori = [TorusSpec(circumference, n) for n in grids]
+    if not tori:
+        raise ValueError("a sweep needs at least one grid count")
     return ConvergenceTable(tuple(run(torus) for torus in tori))

@@ -118,6 +118,20 @@ def fraction_dual(subgroup) -> tuple[list[tuple[Fraction, ...]], list[int]]:
     return signatures, negation
 
 
+def direct_convolution(f, g) -> np.ndarray:
+    """(f * g)(x) = h * sum_y f(y) g(x - y) by the double sum over the
+    group's own addition and negation, with no transform."""
+    group = f.group
+    n = group.size
+    out = np.zeros(n)
+    for x in range(n):
+        acc = 0.0
+        for y in range(n):
+            acc += f.values[y] * g.values[group.add_index(x, group.neg_index(y))]
+        out[x] = float(group.weight) * acc
+    return out
+
+
 def scipy_reference_value(spec: ProblemSpec) -> float:
     """Independent full-size LP: one variable per element, no evenness or
     orbit reduction, characters materialized directly, solved by HiGHS.

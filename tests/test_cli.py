@@ -149,6 +149,15 @@ BAD_INPUTS = {
     "unbounded-omega-on-a-torus": lambda d: [
         "solve", "--torus", "8", "--grid", "16", "--omega-plus", "(-inf,-1]u[1,inf)",
     ],
+    "unclosed-parenthesis-in-last-member": lambda d: [
+        "solve", "--group", "Z8", "--omega-plus", "{0,(1}", "--mode", "turan",
+    ],
+    "unclosed-tuple-in-last-member": lambda d: [
+        "solve", "--group", "Z4xZ3", "--omega-plus", "{(0,0),(1,0}", "--mode", "turan",
+    ],
+    "empty-grid-list": lambda d: [
+        "sweep", "--torus", "8", "--omega-plus", "[-1,1]", "--grid-list", ",",
+    ],
 }
 
 
@@ -367,6 +376,13 @@ def test_parse_discrete_set_tuples_and_full():
     assert parse_discrete_set(g, "FULL").is_full
     z8 = FiniteAbelianGroup((8,))
     assert parse_discrete_set(z8, "{-1,0,1}").sorted_indices() == (0, 1, 7)
+
+
+@pytest.mark.parametrize("literal", ["{-1,0,1)}", "{)(0,0}", "{((0,0),(1,0)}"])
+def test_parse_discrete_set_rejects_unbalanced_parentheses(literal):
+    # A member inside an open or stray parenthesis must not be dropped silently.
+    with pytest.raises(cli.InputError, match="unbalanced parentheses"):
+        parse_discrete_set(FiniteAbelianGroup((4, 3)), literal)
 
 
 def test_emit_figure_data_shapes(tmp_path):

@@ -6,10 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _generators import fraction_dual
+from _generators import direct_convolution, fraction_dual
 from delsarte.classes import ClassSpec, SymmetricSet, in_class
 from delsarte.groups import FiniteAbelianGroup
-from delsarte.harmonic import GroupFunction, autocorrelation, is_positive_definite
+from delsarte.harmonic import (
+    GroupFunction,
+    autocorrelation,
+    convolve,
+    dft,
+    dft_reference,
+    idft,
+    is_positive_definite,
+)
 from delsarte.reduction import (
     SubgroupEmbedding,
     SubgroupView,
@@ -233,3 +241,20 @@ def test_subgroup_dual_matches_fraction_signatures(subgroup):
     for k, signature in enumerate(signatures):
         assert tuple(view.pairing_turn(g, k) for g in range(view.size)) == signature
         assert view.char_neg_index(k) == negation[k]
+
+
+@settings(max_examples=120, deadline=None)
+@given(subgroup_of_small_group(), st.integers(0, 2**32 - 1))
+def test_view_transforms_go_through_the_parent_fft(subgroup, seed):
+    view = SubgroupView(subgroup)
+    parent = subgroup.group
+    for k, chi in enumerate(view.parent_characters):
+        assert [parent.phase_index(g, chi) for g in view.members] == [
+            view.phase_index(i, k) for i in range(view.size)
+        ]
+    rng = np.random.default_rng(seed)
+    f = GroupFunction(view, rng.normal(size=view.size))
+    g = GroupFunction(view, rng.normal(size=view.size))
+    assert np.allclose(dft(f).values, dft_reference(f).values, rtol=0, atol=1e-12)
+    assert np.allclose(idft(dft(f)).values, f.values, rtol=0, atol=1e-12)
+    assert np.allclose(convolve(f, g).values, direct_convolution(f, g), rtol=0, atol=1e-12)
