@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -69,6 +70,22 @@ def _fraction_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _set_member(token: str, text: str) -> int | tuple[int, ...]:
+    """One member of the set literal ``text``: an integer or a tuple."""
+    is_tuple = token.startswith("(")
+    if is_tuple and not token.endswith(")"):
+        raise InputError(f"unbalanced tuple in {text!r}")
+    parts = token[1:-1].split(",") if is_tuple else [token]
+    if not all(_INTEGER.fullmatch(p) for p in parts):
+        raise InputError(
+            f"member {token!r} of {text!r} is not an integer or a tuple of integers"
+        )
+    return tuple(map(int, parts)) if is_tuple else int(token)
+
+
 def parse_discrete_set(group: FiniteAbelianGroup, text: str) -> SymmetricSet:
     """Parse "{-1,0,1}" or "{(0,0),(1,0),(3,0)}" into a symmetric set."""
     body = text.strip().replace(" ", "")
@@ -86,12 +103,7 @@ def parse_discrete_set(group: FiniteAbelianGroup, text: str) -> SymmetricSet:
         if ch == "," and depth == 0:
             if not token:
                 raise InputError(f"empty member in set literal {text!r}")
-            if token.startswith("("):
-                if not token.endswith(")"):
-                    raise InputError(f"unbalanced tuple in {text!r}")
-                members.append(tuple(int(p) for p in token[1:-1].split(",")))
-            else:
-                members.append(int(token))
+            members.append(_set_member(token, text))
             token = ""
             continue
         if ch == "(":
@@ -103,7 +115,10 @@ def parse_discrete_set(group: FiniteAbelianGroup, text: str) -> SymmetricSet:
         token += ch
     if depth != 0:
         raise InputError(f"unbalanced parentheses in {text!r}")
-    return SymmetricSet.from_signed(group, members)
+    try:
+        return SymmetricSet.from_signed(group, members)
+    except ValueError as exc:
+        raise InputError(f"{exc} in {text!r}") from None
 
 
 def _write_json(path: Path, payload: dict) -> None:

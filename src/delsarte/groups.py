@@ -8,11 +8,20 @@ number p of 1/L turns, where L is the lcm of the cyclic orders
 p = sum g_i k_i (L / n_i) mod L (``phase_index``).  Phases stay integers,
 so symmetry and equality checks are exact; ``pairing_turn`` gives the
 same phase as the fraction p / L, and complex values are materialized
-only at use sites.  The exact cosines of a group are the L entries of
-``exact_cosines``, each lifted once from its phase by ``cos_turn_exact``
-(or from float64 where the cosine is irrational).  Exact programs take
-their row data from that table, so their zero-tolerance certificate
-checks compare exact numbers throughout.
+only at use sites.  ``phases`` gives the whole integer matrix of phases
+of a list of elements against a list of characters by array arithmetic.
+
+Every cosine a group needs is one of the L entries of its cosine table,
+built once per group: ``float_cosines`` folds each integer phase p to
+q = min(p, L - p) <= L/2 and evaluates cos(2*pi*q/L), or
+-cos(2*pi*(L - 2q)/(2L)) past a quarter turn, taking the rational value
+where the reduced denominator is 1, 2, 3, 4 or 6 (Niven); it agrees bit
+for bit with ``cos_turn(Fraction(p, L))``.  ``exact_cosines`` keeps
+those rational values and lifts the irrational entries from the float
+table.  LP row data in both arithmetics is read from these tables at
+integer phases, so exact programs' zero-tolerance certificate checks
+compare exact numbers throughout.  ``cos_turn`` and ``pairing_turn``
+are the per-phase references the tables are tested against.
 """
 
 from __future__ import annotations
@@ -25,6 +34,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 def _fold_turn(t: Fraction) -> Fraction:
@@ -46,6 +57,13 @@ _RATIONAL_SIN = {
     2: {1: Fraction(0)},
     4: {1: Fraction(1), 3: Fraction(-1)},
 }
+
+
+def _niven_cos(p: int, modulus: int) -> Fraction | None:
+    """Exact cos(2*pi*p/L) from the reduced denominator of p/L, or None if
+    irrational; the cosines of p and L - p are equal."""
+    d = modulus // math.gcd(p, modulus)
+    return _RATIONAL_COS[d][p // (modulus // d)] if d in _RATIONAL_COS else None
 
 
 def cos_turn_exact(t: Fraction) -> Fraction | None:
@@ -208,15 +226,41 @@ class FiniteAbelianGroup:
         """Phase of chi(g) in turns, as an exact fraction in [0, 1)."""
         return Fraction(self.phase_index(g_index, chi_index), self.phase_modulus)
 
+    def phases(self, elements: Sequence[int], characters: Sequence[int]) -> np.ndarray:
+        """Integer matrix of ``phase_index(elements[i], characters[j])``:
+        coordinates times L / n_i, summed over the factors, mod L."""
+        strides, orders = np.array(self._strides), np.array(self.orders)
+        g = np.asarray(elements, dtype=np.int64)[:, None] // strides % orders
+        k = np.asarray(characters, dtype=np.int64)[:, None] // strides % orders
+        return (g * np.array(self._per_turn)) @ k.T % self.phase_modulus
+
+    @cached_property
+    def float_cosines(self) -> np.ndarray:
+        """cos(2*pi*p/L) for every phase index p, from the integer fold
+        q = min(p, L - p); built once per group, read-only."""
+        modulus = self.phase_modulus
+        out = []
+        for p in range(modulus):
+            q = min(p, modulus - p)
+            exact = _niven_cos(q, modulus)
+            if exact is not None:
+                out.append(float(exact))
+            elif 4 * q > modulus:
+                out.append(-math.cos(2.0 * math.pi * ((modulus - 2 * q) / (2 * modulus))))
+            else:
+                out.append(math.cos(2.0 * math.pi * (q / modulus)))
+        table = np.array(out)
+        table.flags.writeable = False
+        return table
+
     @cached_property
     def exact_cosines(self) -> tuple[Fraction, ...]:
         """cos(2*pi*p/L) for every phase index p, exact where rational and
-        lifted from float64 otherwise; built once per group."""
+        lifted from ``float_cosines`` otherwise; built once per group."""
         out = []
-        for p in range(self.phase_modulus):
-            t = Fraction(p, self.phase_modulus)
-            value = cos_turn_exact(t)
-            out.append(Fraction(cos_turn(t)) if value is None else value)
+        for p, value in enumerate(self.float_cosines.tolist()):
+            exact = _niven_cos(p, self.phase_modulus)
+            out.append(Fraction(value) if exact is None else exact)
         return tuple(out)
 
     def char_neg_index(self, chi_index: int) -> int:

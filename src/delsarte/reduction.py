@@ -7,18 +7,21 @@ restricting a parent character, so the subgroup's dual is enumerated by
 deduplicating restricted phase signatures (tuples of integer phases p
 over the parent's modulus L, the lcm of its orders).  A view keeps, for
 each of its characters, the parent character that first restricted to it
-(``parent_characters``), and reads every phase and exact cosine from the
-parent; its transforms are the parent's FFT of the trivial extension.
-So every pairing phase, and every cosine lifted from it, is literally
-shared between the two problems, which is what makes the reduction
-equality exact in rational arithmetic; the certificates of both solves
-pass a zero-tolerance check, which compares exact numbers.
+(``parent_characters``), and reads every phase, phase matrix and cosine
+table from the parent; its transforms are the parent's FFT of the
+trivial extension.  So every pairing phase, and every cosine lifted from
+it, is literally shared between the two problems, which is what makes the
+reduction equality exact in rational arithmetic; the certificates of both
+solves pass a zero-tolerance check, which compares exact numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
 
 from .classes import SymmetricSet
 from .groups import FiniteAbelianGroup, Subgroup
@@ -79,6 +82,16 @@ class SubgroupView:
 
     def pairing_turn(self, g_index: int, chi_index: int) -> Fraction:
         return Fraction(self.phase_index(g_index, chi_index), self.phase_modulus)
+
+    def phases(self, elements: Sequence[int], characters: Sequence[int]) -> np.ndarray:
+        return self.parent.phases(
+            np.array(self.members)[np.asarray(elements, dtype=np.intp)],
+            np.array(self.parent_characters)[np.asarray(characters, dtype=np.intp)],
+        )
+
+    @property
+    def float_cosines(self) -> np.ndarray:
+        return self.parent.float_cosines
 
     @property
     def exact_cosines(self) -> tuple[Fraction, ...]:

@@ -19,14 +19,18 @@ irrational cosines are lifted the same way.  A dense two-phase
 simplex is the single solving engine; it pivots either in float64
 (bounded variables, Dantzig pricing, Harris ratio test) or in exact
 arithmetic on a fraction-free integer tableau (Bland's rule, used by the
-exact path only).  An exact program reads its cosines from the group's
-table of L values, one per integer phase p / L (``groups``): exact
-where the phase admits a rational cosine (reduced denominators 1, 2, 3,
-4, 6) and lifted from float64 otherwise, so "exact" means exact pivoting
-on exactly represented row data.  An exact certificate check compares
-exact numbers: its row activities and stationarity residuals are integer
-dot products over common denominators, so at zero tolerance it passes
-only a certificate that holds exactly.
+exact path only).  Both builders and the exact Fourier reconstruction
+read one orbit matrix: the group's cosine table (``groups``: L values,
+one per integer phase p / L) indexed by the integer phase matrix of the
+element and character orbit representatives, times the orbit sizes.
+The primal form takes its character rows, the Fourier form its element
+rows.  The float table is float64; the exact one is exact where the
+phase admits a rational cosine (reduced denominators 1, 2, 3, 4, 6) and
+the float value lifted to a ``Fraction`` otherwise, so "exact" means
+exact pivoting on exactly represented row data.  An exact certificate
+check compares exact numbers: its row activities and stationarity
+residuals are integer dot products over common denominators, so at zero
+tolerance it passes only a certificate that holds exactly.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ import numpy as np
 
 from .classes import ClassSpec, ClassVerdict, SymmetricSet, in_class
 from .discretize import TorusSpec, sample_set
-from .groups import cos_turn
 from .harmonic import GroupFunction, Spectrum, idft
 from .realsets import RealSet1D
 
@@ -156,13 +159,21 @@ def _orbits(size: int, neg) -> tuple[list[int], dict[int, int]]:
     return reps, sizes
 
 
-def _pairing_coeff(group, g_index: int, chi_index: int, count: int, exact: bool):
-    """count * cos of the pairing phase, in the requested arithmetic: an
-    exact one reads the group's cosine table at the integer phase."""
-    if exact:
-        value = group.exact_cosines[group.phase_index(g_index, chi_index)]
-        return value if count == 1 else count * value
-    return count * cos_turn(group.pairing_turn(g_index, chi_index))
+def _cosine_matrix(group, elements: Sequence[int], characters: Sequence[int],
+                   exact: bool) -> np.ndarray:
+    """cos of the pairing of every element with every character, read from
+    the group's cosine table at the integer phases: float64, or an object
+    array of ``Fraction`` in exact arithmetic."""
+    table = np.array(group.exact_cosines, dtype=object) if exact else group.float_cosines
+    return table[group.phases(elements, characters)]
+
+
+# Every tuple a solve builds is made from a list, never from a generator:
+# tuple() of a generator allocates for a guess of 10 items and resizes,
+# which moves a tuple from CPython's size-10 free list onto the free list
+# of the final size.  Over thousands of solves the lists of sizes 2 to 20
+# filled to their cap of 2,000 tuples each, about 2.6 MB of dead tuples
+# held until the next full garbage collection.
 
 
 def build_primal(spec: ProblemSpec) -> LinearProgram:
@@ -183,21 +194,21 @@ def build_primal(spec: ProblemSpec) -> LinearProgram:
 
     reps, rep_size = _orbits(group.size, group.neg_index)
     var_reps = [r for r in reps if r == 0 or r in plus or r in minus]
-    bounds = tuple(
+    bounds = tuple([
         (one, one) if r == 0
         else (-one if r in minus else zero, one if r in plus else zero)
         for r in var_reps
-    )
-    rows = []
-    for k in _orbits(group.size, group.char_neg_index)[0]:
-        coeffs = tuple(
-            (j, _pairing_coeff(group, r, k, rep_size[r], exact))
-            for j, r in enumerate(var_reps)
-        )
-        rows.append(LPRow(("spectral", k), coeffs, ">=", zero))
-    objective = tuple(
+    ])
+    chi_reps = _orbits(group.size, group.char_neg_index)[0]
+    sizes = np.array([rep_size[r] for r in var_reps], dtype=object if exact else float)
+    spectral = (_cosine_matrix(group, var_reps, chi_reps, exact) * sizes[:, None]).T
+    rows = [
+        LPRow(("spectral", k), tuple(list(enumerate(coeffs))), ">=", zero)
+        for k, coeffs in zip(chi_reps, spectral.tolist())
+    ]
+    objective = tuple([
         (Fraction(rep_size[r]) if exact else float(rep_size[r])) for r in var_reps
-    )
+    ])
     return LinearProgram(
         var_labels=tuple(var_reps),
         var_bounds=bounds,
@@ -226,37 +237,34 @@ def build_fourier_form(spec: ProblemSpec) -> LinearProgram:
     plus, minus = spec.omega_plus.indices, spec.omega_minus.indices
 
     chi_reps, chi_size = _orbits(group.size, group.char_neg_index)
-    pos = {k: j for j, k in enumerate(chi_reps)}
     big = Fraction(n) if exact else float(n)
-    bounds = tuple((zero, big) for _ in chi_reps)
+    bounds = tuple([(zero, big) for _ in chi_reps])
 
     rows: list[LPRow] = [
         LPRow(
             ("normalization",),
-            tuple((pos[k], chi_size[k] * one) for k in chi_reps),
+            tuple([(j, chi_size[k] * one) for j, k in enumerate(chi_reps)]),
             "=",
             big,
         )
     ]
-    reps, _ = _orbits(group.size, group.neg_index)
-    for g in reps:
-        if g == 0:
-            continue
+    sign_reps = [
+        g for g in _orbits(group.size, group.neg_index)[0]
+        if g != 0 and not (g in plus and g in minus)
+    ]
+    sizes = np.array([chi_size[k] for k in chi_reps], dtype=object if exact else float)
+    sign_rows = _cosine_matrix(group, sign_reps, chi_reps, exact) * sizes
+    for g, coeffs in zip(sign_reps, sign_rows.tolist()):
         in_plus, in_minus = g in plus, g in minus
-        if in_plus and in_minus:
-            continue
-        coeffs = tuple(
-            (pos[k], _pairing_coeff(group, g, k, chi_size[k], exact))
-            for k in chi_reps
-        )
+        coeffs = tuple(list(enumerate(coeffs)))
         if not in_plus:
             rows.append(LPRow(("sign_plus", g), coeffs, "<=", zero))
         if not in_minus:
             rows.append(LPRow(("sign_minus", g), coeffs, ">=", zero))
 
-    objective = tuple(one if k == 0 else zero for k in chi_reps)
+    objective = tuple([one if k == 0 else zero for k in chi_reps])
     return LinearProgram(
-        var_labels=tuple(("fhat", k) for k in chi_reps),
+        var_labels=tuple([("fhat", k) for k in chi_reps]),
         var_bounds=bounds,
         rows=tuple(rows),
         objective=objective,
@@ -800,7 +808,7 @@ def _optimum(lp, xt, y, lower, upper, zero, iterations, phase1_iterations,
     row duals ``y`` (box rows, if any, after the program's rows) and the
     bound multipliers."""
     nv = lp.num_vars
-    x = tuple(lp.var_bounds[j][0] + xt[j] for j in range(nv))
+    x = tuple([lp.var_bounds[j][0] + xt[j] for j in range(nv)])
     objective = sum((lp.objective[j] * x[j] for j in range(nv)), zero)
     return RawOptimum(
         x=x,
@@ -871,8 +879,10 @@ def _reconstruct(spec: ProblemSpec, lp: LinearProgram, x: Sequence, formulation:
     ``harmonic.idft`` of the orbit values spread over the full spectrum
     (times h, since the variables are h-free), one inverse FFT on a
     product group and on a subgroup view alike; in exact arithmetic it is
-    evaluated once per orbit, because g and -g pair with every character
-    at phases p and L - p, which have the same cosine."""
+    one product of the orbit matrix (exact cosines times character-orbit
+    sizes, rows per element orbit) with the spectrum variables, over |G|:
+    one value per orbit, because g and -g pair with every character at
+    phases p and L - p, which have the same cosine."""
     group = spec.group
     exact = spec.arithmetic == EXACT
     zero = Fraction(0) if exact else 0.0
@@ -882,13 +892,9 @@ def _reconstruct(spec: ProblemSpec, lp: LinearProgram, x: Sequence, formulation:
         reps = _orbits(group.size, group.neg_index)[0]
         if exact:
             _, chi_size = _orbits(group.size, group.char_neg_index)
-            orbit_values = []
-            for g in reps:
-                acc = zero
-                for k, u in zip(chi_reps, x):
-                    if u != 0:
-                        acc += u * _pairing_coeff(group, g, k, chi_size[k], True)
-                orbit_values.append(acc / group.size)
+            sizes = np.array([chi_size[k] for k in chi_reps], dtype=object)
+            inverse = _cosine_matrix(group, reps, chi_reps, True) * sizes
+            orbit_values = (inverse @ np.array(x, dtype=object) / group.size).tolist()
         else:
             spectrum = np.zeros(group.size)
             spectrum[chi_reps] = x
@@ -969,7 +975,7 @@ def solve(spec: ProblemSpec, formulation: str = "auto") -> Solution:
     function = GroupFunction(spec.group, [float(v) for v in values])
 
     certificate = DualCertificate(
-        rows=tuple((r.label, y) for r, y in zip(lp.rows, raw.row_duals)),
+        rows=tuple([(r.label, y) for r, y in zip(lp.rows, raw.row_duals)]),
         lower_bounds=raw.lower_duals,
         upper_bounds=raw.upper_duals,
         dual_objective=_dual_objective(

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from delsarte.classes import SymmetricSet
-from delsarte.groups import FiniteAbelianGroup
+from delsarte.groups import FiniteAbelianGroup, cos_turn, cos_turn_exact
 from delsarte.realsets import RealSet1D
 from delsarte.solver import ProblemSpec
 
@@ -99,6 +99,20 @@ def fraction_phase(group: FiniteAbelianGroup, g_index: int, chi_index: int) -> F
         Fraction(0),
     )
     return t - math.floor(t)
+
+
+def fraction_cosines(modulus: int) -> tuple[list[float], list[Fraction]]:
+    """The float and exact cosines of every phase p / L, built per phase from
+    a Fraction: ``cos_turn``, and ``cos_turn_exact`` where rational or the
+    float lifted to a Fraction otherwise.  The references that a group's
+    ``float_cosines`` and ``exact_cosines`` tables must equal."""
+    floats, exact = [], []
+    for p in range(modulus):
+        t = Fraction(p, modulus)
+        value, rational = cos_turn(t), cos_turn_exact(t)
+        floats.append(value)
+        exact.append(Fraction(value) if rational is None else rational)
+    return floats, exact
 
 
 def fraction_dual(subgroup) -> tuple[list[tuple[Fraction, ...]], list[int]]:

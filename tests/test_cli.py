@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import random
 import time
 from dataclasses import replace
 
@@ -14,6 +15,8 @@ from delsarte.cli import emit_figure_data, main, parse_discrete_set
 from delsarte.groups import FiniteAbelianGroup
 from delsarte.harmonic import fejer_kernel
 from delsarte.solver import CertificateVerdict, SimplexError
+
+from _generators import random_group, random_symmetric_set
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +163,23 @@ BAD_INPUTS = {
     ],
 }
 
+# Set literals whose members do not parse; the error must quote the literal.
+BAD_SET_LITERALS = {
+    "non-integer-member": ("Z8", "{x,0}"),
+    "fractional-member": ("Z8", "{0,1.5}"),
+    "underscored-member": ("Z8", "{1_0,-10}"),
+    "non-integer-coordinate": ("Z4xZ3", "{(1,y)}"),
+    "empty-tuple": ("Z4xZ3", "{()}"),
+    "too-many-coordinates": ("Z4xZ3", "{(0,0,0)}"),
+    "integer-on-a-product-group": ("Z4xZ3", "{0}"),
+}
+BAD_INPUTS.update({
+    case: lambda d, group=group, literal=literal: [
+        "solve", "--group", group, "--omega-plus", literal, "--mode", "turan",
+    ]
+    for case, (group, literal) in BAD_SET_LITERALS.items()
+})
+
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, case):
@@ -169,6 +189,14 @@ def test_bad_input_exits_one_without_traceback(tmp_path, capsys, case):
     assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SET_LITERALS))
+def test_bad_set_member_error_names_the_literal(tmp_path, capsys, case):
+    _, literal = BAD_SET_LITERALS[case]
+    code, _, err = run_cli(capsys, *BAD_INPUTS[case](tmp_path), "--out", str(tmp_path / "out"))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert repr(literal) in err
 
 
 def test_torus_problem_file_matches_flags(tmp_path, capsys):
@@ -383,6 +411,28 @@ def test_parse_discrete_set_rejects_unbalanced_parentheses(literal):
     # A member inside an open or stray parenthesis must not be dropped silently.
     with pytest.raises(cli.InputError, match="unbalanced parentheses"):
         parse_discrete_set(FiniteAbelianGroup((4, 3)), literal)
+
+
+def _set_literal(s) -> str:
+    """The literal of a symmetric set in signed coordinates, as the CLI takes it."""
+    group = s.group
+    if group.dimension == 1:
+        members = [str(group.signed_coords(i)[0]) for i in s.sorted_indices()]
+    else:
+        members = [
+            "(" + ",".join(map(str, group.signed_coords(i))) + ")"
+            for i in s.sorted_indices()
+        ]
+    return "{" + ",".join(members) + "}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 1.0))
+def test_parse_discrete_set_round_trips(seed, density):
+    rng = random.Random(seed)
+    group = random_group(rng)
+    s = random_symmetric_set(group, rng, density)
+    assert parse_discrete_set(group, _set_literal(s)) == s
 
 
 def test_emit_figure_data_shapes(tmp_path):

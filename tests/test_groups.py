@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _generators import fraction_phase
+from _generators import fraction_cosines, fraction_phase
 from delsarte.groups import (
     MAX_ORDER,
     FiniteAbelianGroup,
@@ -209,3 +209,39 @@ def test_parse_group_round_trips(orders, weight_seed):
     weight = Fraction(weight_seed % 97 + 1, weight_seed % 13 + 1)
     group = FiniteAbelianGroup(tuple(orders), weight)
     assert parse_group(str(group)) == group
+
+
+def check_cosine_tables(modulus: int) -> None:
+    group = FiniteAbelianGroup((modulus,))
+    floats, exact = fraction_cosines(modulus)
+    table = group.float_cosines
+    assert group.float_cosines is table and not table.flags.writeable
+    assert [value.hex() for value in table.tolist()] == [value.hex() for value in floats]
+    assert group.exact_cosines == tuple(exact)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4096))
+def test_cosine_tables_match_the_per_phase_reference(modulus):
+    check_cosine_tables(modulus)
+
+
+@pytest.mark.parametrize("modulus", [15015, 65536])
+def test_cosine_tables_match_the_per_phase_reference_at_large_moduli(modulus):
+    check_cosine_tables(modulus)
+
+
+@settings(max_examples=100, deadline=None)
+@given(group_and_pair(max_order=64), st.data())
+def test_phase_matrix_matches_phase_index(case, data):
+    group = case[0]
+    index = st.integers(0, group.size - 1)
+    for elements, characters in (
+        (range(group.size), range(group.size)),
+        (data.draw(st.lists(index, max_size=8)), data.draw(st.lists(index, max_size=8))),
+    ):
+        phases = group.phases(elements, characters)
+        assert phases.shape == (len(elements), len(characters))
+        assert phases.tolist() == [
+            [group.phase_index(g, k) for k in characters] for g in elements
+        ]

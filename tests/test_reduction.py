@@ -243,6 +243,23 @@ def test_subgroup_dual_matches_fraction_signatures(subgroup):
         assert view.char_neg_index(k) == negation[k]
 
 
+@settings(max_examples=100, deadline=None)
+@given(subgroup_of_small_group(), st.data())
+def test_view_phase_matrix_matches_phase_index(subgroup, data):
+    view = SubgroupView(subgroup)
+    index = st.integers(0, view.size - 1)
+    for elements, characters in (
+        (range(view.size), range(view.size)),
+        (data.draw(st.lists(index, max_size=8)), data.draw(st.lists(index, max_size=8))),
+    ):
+        phases = view.phases(elements, characters)
+        assert phases.shape == (len(elements), len(characters))
+        assert phases.tolist() == [
+            [view.phase_index(g, k) for k in characters] for g in elements
+        ]
+    assert view.float_cosines is subgroup.group.float_cosines
+
+
 @settings(max_examples=120, deadline=None)
 @given(subgroup_of_small_group(), st.integers(0, 2**32 - 1))
 def test_view_transforms_go_through_the_parent_fft(subgroup, seed):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _generators import (
     nice_random_group,
@@ -12,6 +14,7 @@ from _generators import (
     random_symmetric_set,
     scipy_reference_value,
 )
+from delsarte import groups
 from delsarte.classes import SymmetricSet, in_class
 from delsarte.discretize import TorusSpec, sample_set
 from delsarte.groups import FiniteAbelianGroup
@@ -510,3 +513,75 @@ def test_exact_fourier_form_matches_exact_primal(mode):
         assert primal.value_exact == fourier.value_exact, (group, mode)
         assert verify_certificate(primal, tol=0.0).ok
         assert verify_certificate(fourier, tol=0.0).ok
+
+
+def test_float_solves_read_the_cosine_table(monkeypatch):
+    # Float LP data comes from the group's cosine table at integer phases:
+    # no phase is formed as a Fraction and no cosine is folded per entry,
+    # on product groups and on subgroup views, in both forms.
+    def per_entry(*args):
+        raise AssertionError("per-entry phase or cosine on the float path")
+
+    monkeypatch.setattr(groups, "cos_turn", per_entry)
+    monkeypatch.setattr(groups.FiniteAbelianGroup, "pairing_turn", per_entry)
+    monkeypatch.setattr(SubgroupView, "pairing_turn", per_entry)
+    z = FiniteAbelianGroup((40,))
+    view = SubgroupView(FiniteAbelianGroup((80,)).subgroup_generated([2]))
+    for group in (z, view):
+        omega = SymmetricSet.from_indices(group, {0, 1, 2, group.neg_index(1), group.neg_index(2)})
+        for spec in (ProblemSpec.turan(group, omega), ProblemSpec.delsarte(group, omega)):
+            for formulation in ("primal", "fourier"):
+                sol = solve(spec, formulation)
+                assert sol.certificate_verdict.ok, (group, spec.mode, formulation)
+
+
+@st.composite
+def float_problem(draw, max_order: int = 48):
+    """A random float problem on a product group: mode, Ω₊ (with 0) and Ω₋."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    group = random_group(rng, max_order)
+    plus = random_symmetric_set(group, rng, draw(st.floats(0.0, 1.0)), ensure_zero=True)
+    mode = draw(st.sampled_from(["turan", "delsarte", "general"]))
+    if mode == "turan":
+        return ProblemSpec.turan(group, plus)
+    if mode == "delsarte":
+        return ProblemSpec.delsarte(group, plus)
+    return ProblemSpec.general(group, plus, random_symmetric_set(group, rng, 0.4))
+
+
+def _regroup(spec, group):
+    """The same problem on ``group``, which has the same orders as spec's."""
+    def move(s):
+        return SymmetricSet.from_indices(group, s.indices)
+
+    return ProblemSpec(group, move(spec.omega_plus), move(spec.omega_minus), mode=spec.mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(float_problem())
+def test_primal_and_fourier_values_agree(spec):
+    primal, fourier = solve(spec, "primal"), solve(spec, "fourier")
+    assert primal.certificate_verdict.ok and fourier.certificate_verdict.ok
+    assert primal.value == pytest.approx(fourier.value, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(float_problem(), st.fractions(Fraction(1, 64), 64))
+def test_value_scales_linearly_in_the_haar_weight(spec, weight):
+    weighted = _regroup(spec, FiniteAbelianGroup(spec.group.orders, weight))
+    assert solve(weighted).value == pytest.approx(float(weight) * solve(spec).value, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(float_problem(), st.integers(0, 2**32 - 1))
+def test_value_does_not_fall_when_omega_plus_grows(spec, seed):
+    group = spec.group
+    grown = spec.omega_plus.indices | random_symmetric_set(group, random.Random(seed), 0.3).indices
+    plus = SymmetricSet.from_indices(group, grown)
+    if spec.mode == "turan":
+        larger = ProblemSpec.turan(group, plus)
+    elif spec.mode == "delsarte":
+        larger = ProblemSpec.delsarte(group, plus)
+    else:
+        larger = ProblemSpec.general(group, plus, spec.omega_minus)
+    assert solve(larger).value >= solve(spec).value - 1e-9
