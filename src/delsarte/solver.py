@@ -16,13 +16,14 @@ picks the form from its input: a float problem gets the Fourier form when
 it has fewer LP rows (in Delsarte mode unless Ω₊ = {0}), an exact one gets
 the primal form, so that a group and its subgroups solve LPs whose
 irrational cosines are lifted the same way.  A dense two-phase
-simplex is the single solving engine; it pivots either in float64
-(bounded variables, Dantzig pricing, Harris ratio test) or in exact
-arithmetic on a fraction-free integer tableau (Bland's rule, used by the
-exact path only).  Both builders and the exact Fourier reconstruction
-read one orbit matrix: the group's cosine table (``groups``: L values,
-one per integer phase p / L) indexed by the integer phase matrix of the
-element and character orbit representatives, times the orbit sizes.
+simplex is the single solving engine; it pivots either in float64 on a
+tableau of the nonbasic columns only (bounded variables, Dantzig pricing,
+Harris ratio test) or in exact arithmetic on a fraction-free integer
+tableau (Bland's rule, used by the exact path only).  Both builders and
+the exact Fourier reconstruction read one orbit matrix: the group's
+cosine table (``groups``: L values, one per integer phase p / L) indexed
+by the integer phase matrix of the element and character orbit
+representatives, times the orbit sizes.
 The primal form takes its character rows, the Fourier form its element
 rows.  The float table is float64; the exact one is exact where the
 phase admits a rational cosine (reduced denominators 1, 2, 3, 4, 6) and
@@ -61,6 +62,13 @@ SAME = "SAME"
 # every benchmark workload is 3.1 (float, torus 8, N = 256, Delsarte
 # primal); an exact Z72 Delsarte solve takes 5.4 in its phase 1.
 PIVOTS_PER_COLUMN = 100
+
+# The float simplex drops the artificial columns of >= rows after phase 1
+# only when they hold at least this many tableau entries (rows times
+# columns).  The copy and a dozen numpy calls cost the benchmark programs
+# of under 40 rows 2-3% of their simplex time; on those above the gate
+# (97 rows and up) the narrower rank-1 updates saved 3-24%.
+DROP_MIN_ENTRIES = 1024
 
 
 class ClassEmptyProblem(Exception):
@@ -299,7 +307,7 @@ def price_dantzig(rc: np.ndarray, allowed: np.ndarray, eps: float) -> int:
     """Steepest reduced cost below -eps among allowed columns, first on
     ties; -1 when none prices out."""
     masked = np.where(allowed, rc, np.inf)
-    j = int(np.argmin(masked))
+    j = int(masked.argmin())
     return j if masked[j] < -eps else -1
 
 
@@ -319,14 +327,13 @@ def leave_harris(col: np.ndarray, rhs: np.ndarray, pivot_tol: float,
     entries of at most ``pivot_tol`` remain, the first largest entry
     above ``tiny`` is taken.  Returns -1 when no entry exceeds ``tiny``.
     """
-    rows = np.flatnonzero(col > pivot_tol)
+    rows = (col > pivot_tol).nonzero()[0]
     if rows.size == 0:
-        rows = np.flatnonzero(col > tiny)
-        return int(rows[np.argmax(col[rows])]) if rows.size else -1
+        rows = (col > tiny).nonzero()[0]
+        return int(rows[col[rows].argmax()]) if rows.size else -1
     a, b = col[rows], rhs[rows]
     theta = ((b + slack) / a).min()
-    admissible = rows[b / a <= theta]
-    return int(admissible[np.argmax(col[admissible])])
+    return int(rows[np.where(b / a <= theta, a, 0.0).argmax()])
 
 
 def leave_bland(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> int:
@@ -350,7 +357,7 @@ def leave_bland(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> int:
 def polish_row(rhs: np.ndarray, floor: float) -> int:
     """Dual simplex leaving row: the first most negative right-hand side
     below ``floor``, or -1 when the basis is primal feasible."""
-    i = int(np.argmin(rhs))
+    i = int(rhs.argmin())
     return i if rhs[i] < floor else -1
 
 
@@ -359,12 +366,12 @@ def polish_col(row: np.ndarray, rc: np.ndarray, allowed: np.ndarray,
     """Dual ratio test on a leaving row: among allowed entries below
     -pivot_tol, the smallest rc / |a|, ties broken by the first largest
     |a|.  Returns -1 when the row proves the program infeasible."""
-    cols = np.flatnonzero(allowed & (row < -pivot_tol))
+    cols = (allowed & (row < -pivot_tol)).nonzero()[0]
     if cols.size == 0:
         return -1
     ratios = rc[cols] / -row[cols]
     ties = cols[ratios == ratios.min()]
-    return int(ties[np.argmax(np.abs(row[ties]))])
+    return int(ties[np.abs(row[ties]).argmax()])
 
 
 def leave_bounded(col: np.ndarray, rhs: np.ndarray, upper: np.ndarray,
@@ -401,15 +408,24 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     entering variable that reaches its own bound first flips there with
     no pivot.  Every inequality is relaxed outward by a distinct
     deterministic epsilon (breaking degenerate ties without losing
-    feasibility), and pricing is by steepest reduced cost.  Each pivot is
-    one in-place rank-1 update of the whole tableau, whose last row holds
-    the reduced costs.  At the end the tableau is rebuilt from the true
-    data, a short dual-simplex pass repairs the perturbation-sized
-    infeasibility on either bound, and one primal pass and a second
-    rebuild re-certify optimality; a basis that still fails raises.
-    Exact-rational programs go to ``_exact_simplex`` (Bland's rule on a
-    fraction-free integer tableau with explicit box rows).  Every
-    selection rule takes the first index among equal candidates.
+    feasibility), and pricing is by steepest reduced cost.
+
+    The tableau is condensed: it keeps only the nonbasic columns and the
+    right-hand side, since the basic columns are unit vectors, and its
+    last row holds the reduced costs.  ``nonbasic`` names the variable of
+    each column and ``basis`` that of each row.  Each pivot is one
+    in-place rank-1 update of these columns, after which the leaving
+    variable's column stands where the entering one stood.  After phase 1
+    the nonbasic artificial of each >= row, the negated surplus column, is
+    dropped.  At the end the tableau is rebuilt from the true data, a
+    short dual-simplex pass repairs the perturbation-sized infeasibility
+    on either bound, and one primal pass and a second rebuild (skipped
+    when nothing moved since the first) re-certify optimality; a basis
+    that still fails raises.  Every selection rule takes the lowest
+    variable index among equal candidates, so the pivots are those the
+    full tableau takes.  Exact-rational programs go to ``_exact_simplex``
+    (Bland's rule on a fraction-free integer tableau with explicit box
+    rows).
 
     Finite variable bounds guarantee boundedness; the admissible problems
     are never infeasible (the point mass at the identity is feasible), so
@@ -420,97 +436,129 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     rows, upper = _shifted_rows(lp)
     nv, m = lp.num_vars, len(rows)
     flipped, surplus_col, unit_col, artificial, ncols = _standard_form(rows, nv)
-    T = np.zeros((m + 1, ncols + 1))  # row m: reduced costs
-    basis = np.zeros(m, dtype=np.intp)
-    for i, (dense, sense, rhs) in enumerate(rows):
-        T[i, :nv] = dense
-        if i in surplus_col:
-            T[i, surplus_col[i]] = -1.0
-        T[i, unit_col[i]] = 1.0
-        T[i, ncols] = rhs
-        basis[i] = unit_col[i]
-    up = np.array(upper + [np.inf] * (ncols - nv))  # bound of each column
-    sign = np.ones(ncols)  # -1 on complemented columns
-
-    not_art = np.ones(ncols, dtype=bool)
+    # The true [A | b] by variable index, which refactor() rebuilds from.
+    # The unit columns come last and are the start basis.
+    k = ncols - m  # nonbasic columns
+    data = np.zeros((m, ncols + 1))
+    data[:, :nv] = [dense for dense, _, _ in rows]
+    for i, j in surplus_col.items():
+        data[i, j] = -1.0
+    np.fill_diagonal(data[:, k:], 1.0)
+    data[:, ncols] = [rhs for _, _, rhs in rows]
+    # Tableau column q is data column nonbasic[q]: a nonbasic variable, or
+    # for q = k the right-hand side.  Row m holds the reduced costs.
+    nonbasic = np.arange(k + 1)
+    nonbasic[k] = ncols
+    basis = np.arange(k, ncols)
+    T = np.empty((m + 1, k + 1))
+    T[:m, :k] = data[:, :k]
+    up = np.array(upper + [np.inf] * (ncols - nv))  # bound of each variable
+    sign = np.ones(ncols + 1)  # -1 on complemented variables
+    not_art = np.ones(ncols + 1, dtype=bool)
     not_art[artificial] = False
+    up_basic = up[k:].copy()  # the bound of each basic variable, kept current,
+    free = not_art[:k].copy()  # and whether each column may be priced in phase 2
     iterations = bound_flips = 0
 
     # Deterministic degeneracy-breaking perturbation: relax every
     # inequality outward by a distinct tiny amount.  The admissible point
     # mass stays feasible, exact ratio ties disappear, and the true
     # right-hand side is restored before the final polish.
-    data = T[:m].copy()  # the true [A | b], which refactor() rebuilds from
-    pert_base = 1e-5 * (1.0 + max(abs(float(T[i, ncols])) for i in range(m)))
-    for i, (_, sense, _) in enumerate(rows):
-        delta = pert_base * (i + 1) / m
-        if sense == "<=":
-            T[i, ncols] += delta
-        elif sense == ">=" and T[i, ncols] > delta:
-            T[i, ncols] -= delta
+    b = data[:, ncols]  # nonnegative after _standard_form
+    delta = 1e-5 * (1.0 + float(b.max())) * np.arange(1, m + 1) / m
+    ge = np.array([sense == ">=" for _, sense, _ in rows])
+    T[:m, k] = b
+    np.add(b, delta, out=T[:m, k], where=not_art[k:ncols])  # <= rows: a slack
+    np.subtract(b, delta, out=T[:m, k], where=ge & (b > delta))
     update = np.empty_like(T)  # rank-1 update buffer, reused by every pivot
+    spread = np.zeros(data.shape)  # set_objective's tableau by variable index
 
-    def pivot(leave: int, enter: int) -> None:
-        T[leave] = T[leave] / T[leave, enter]
-        col = T[:, enter].copy()
+    def pivot(leave: int, q: int) -> None:
+        # Column q first becomes the leaving variable's unit column; the
+        # update then gives it 1/p on the pivot row and -col/p elsewhere.
+        col = T[:, q].copy()
+        p = col[leave]
         col[leave] = 0.0
+        T[:, q] = 0.0
+        T[leave, q] = 1.0
+        T[leave] /= p
         np.multiply.outer(col, T[leave], out=update)
         np.subtract(T, update, out=T)
+        enter = nonbasic[q]
+        nonbasic[q] = basis[leave]
         basis[leave] = enter
+        up_basic[leave] = up[enter]
+        free[q] = not_art[nonbasic[q]]
 
-    def complement(j: int, row: int = -1) -> None:
+    def complement(q: int = -1, row: int = -1) -> None:
         # Substitute xt_j = u_j - xt'_j in the tableau and in the true
-        # data; a basic column's row is negated back to a unit row.
-        for A in (T, data):
-            A[:, ncols] -= up[j] * A[:, j]
-            A[:, j] *= -1.0
-        if row >= 0:
+        # data, for the variable of column q or the basic one of ``row``,
+        # whose row is negated back to a unit row.
+        j = nonbasic[q] if row < 0 else basis[row]
+        data[:, ncols] -= up[j] * data[:, j]
+        data[:, j] *= -1.0
+        if row < 0:
+            T[:, k] -= up[j] * T[:, q]
+            T[:, q] *= -1.0
+        else:
+            T[row, k] -= up[j]
             T[row] *= -1.0
         sign[j] = -sign[j]
 
     def set_objective(cost: np.ndarray) -> None:
+        # c_B B^-1 [A | b] - [c | 0], with the product taken over columns
+        # by variable index: BLAS rounds an entry by its position, so this
+        # keeps the reduced costs independent of the column order.
         c = cost * sign
-        T[m] = c[basis] @ T[:m]
-        T[m, :ncols] -= c
+        spread[:, nonbasic] = T[:m]
+        np.subtract((c[basis] @ spread)[nonbasic], c[nonbasic], out=T[m])
 
     def refactor() -> None:
-        # Rebuild T = B^-1 [A | b] and its phase-2 reduced costs from the
+        # Rebuild T = B^-1 [A_N | b] and its phase-2 reduced costs from the
         # true data under the current basis.  This runs only where the data
         # change (the true right-hand side replaces the perturbed one) and
         # before the final optimality check.  A numerically singular basis
         # (forced tiny pivot) keeps the running tableau; the certificate
         # check downstream guards the result.
         try:
-            T[:m] = np.linalg.solve(data[:, basis], data)
+            T[:m] = np.linalg.solve(data[:, basis], data[:, nonbasic])
         except np.linalg.LinAlgError:
             pass
         set_objective(cost2)
+
+    def lowest(candidates: np.ndarray) -> int:
+        return int(candidates[nonbasic[candidates].argmin()])
 
     limit = PIVOTS_PER_COLUMN * (m + ncols)  # steps per phase
     pivot_tol = 1e-9  # never pivot on anything smaller
     harris_slack = 1e-9
     tiny = 1e-11  # Harris falls back to entries above this, never below
 
-    def run_phase(cost: np.ndarray, allowed: np.ndarray) -> int:
+    def run_phase(cost: np.ndarray | None, allowed: np.ndarray) -> int:
+        # cost None: the reduced-cost row is already that of this phase.
         nonlocal iterations, bound_flips
-        set_objective(cost)
+        if cost is not None:
+            set_objective(cost)
+        rc, values = T[m, :k], T[:m, k]
         steps = pivots = 0
         while True:
-            enter = price_dantzig(T[m, :ncols], allowed, 1e-9)
-            if enter < 0:
+            q = price_dantzig(rc, allowed, 1e-9)
+            if q < 0:
                 return pivots
+            if np.count_nonzero(rc == rc[q]) > 1:
+                q = lowest((allowed & (rc == rc[q])).nonzero()[0])
+            bound = up[nonbasic[q]]
             leave, at_upper = leave_bounded(
-                T[:m, enter], T[:m, ncols], up[basis], up[enter],
-                pivot_tol, harris_slack, tiny,
+                T[:m, q], values, up_basic, bound, pivot_tol, harris_slack, tiny,
             )
             if leave >= 0:
                 if at_upper:
-                    complement(basis[leave], leave)
-                pivot(leave, enter)
+                    complement(row=leave)
+                pivot(leave, q)
                 pivots += 1
                 iterations += 1
-            elif up[enter] < np.inf:
-                complement(enter)
+            elif bound < np.inf:
+                complement(q)
                 bound_flips += 1
             else:
                 raise SimplexError("unbounded direction in a bounded program")
@@ -519,24 +567,36 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
                 raise SimplexError("iteration limit exceeded")
 
     phase1_iterations = 0
+    twins = None  # the artificials dropped after phase 1
     if artificial:
         cost1 = np.where(not_art, 0.0, -1.0)
-        phase1_iterations = run_phase(cost1, np.ones(ncols, dtype=bool))
-        infeas = float(T[:m, ncols][~not_art[basis]].sum())
+        phase1_iterations = run_phase(cost1, np.ones(k, dtype=bool))
+        stuck = (~not_art[basis]).nonzero()[0]
+        infeas = float(T[stuck, k].sum())
         if infeas > 1e-7:
             raise SimplexError(f"infeasible program (residual {infeas})")
         # Drive leftover degenerate artificials out of the basis so phase 2
         # cannot move them; an all-zero row is redundant and stays put.  A
         # real pivot threshold keeps elimination residue (~1e-16) from
         # being picked as a pivot and corrupting the tableau.
-        for i in range(m):
-            if not not_art[basis[i]]:
-                hits = np.flatnonzero(not_art & (np.abs(T[i, :ncols]) > 1e-7))
-                if hits.size:
-                    pivot(i, int(hits[0]))
+        for i in stuck:
+            hits = (free & (np.abs(T[i, :k]) > 1e-7)).nonzero()[0]
+            if hits.size:
+                pivot(i, lowest(hits))
+        # A nonbasic artificial of a >= row is the negated surplus column
+        # of its row and is never priced again: drop it, and read its
+        # reduced cost, the row's dual, from the surplus column at the end.
+        twin = np.zeros(ncols + 1, dtype=bool)
+        twin[k:ncols] = ge
+        dropped = twin[nonbasic]
+        if m * np.count_nonzero(dropped) >= DROP_MIN_ENTRIES:
+            twins, keep = nonbasic[dropped], ~dropped
+            T, nonbasic, free = T[:, keep], nonbasic[keep], free[keep[:k]]
+            k = nonbasic.size - 1
+            update = np.empty_like(T)
 
-    cost2 = np.array(_phase2_cost(lp, ncols, 0.0))
-    run_phase(cost2, not_art)
+    cost2 = np.array(_phase2_cost(lp, ncols + 1, 0.0))
+    run_phase(cost2, free)
 
     # Restore the true right-hand side.  The perturbed optimum basis is
     # dual feasible for the true data; a short dual-simplex pass repairs
@@ -544,40 +604,49 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     # value below 0 or above its bound, then one primal pass and a
     # refactorization re-certify optimality.
     refactor()
+    refactored_at = iterations + bound_flips
     polish_limit = 4 * m + 50
     polish = 0
     while True:
-        rhs = T[:m, ncols]
-        over = up[basis] - rhs
+        rhs = T[:m, k]
+        over = up_basic - rhs
         leave = polish_row(np.minimum(rhs, over), -1e-11)
         if leave < 0:
             break
         if over[leave] < rhs[leave]:
-            complement(basis[leave], leave)
-        enter = polish_col(T[leave, :ncols], T[m, :ncols], not_art, pivot_tol)
-        if enter < 0:
+            complement(row=leave)
+        order = nonbasic[:k].argsort()  # the rule's first: the lowest index
+        q = polish_col(T[leave, order], T[m, order], free[order], pivot_tol)
+        if q < 0:
             raise SimplexError("dual polish found an infeasible row")
-        pivot(leave, enter)
+        pivot(leave, int(order[q]))
         iterations += 1
         polish += 1
         if polish > polish_limit:
             raise SimplexError("dual polish did not converge")
-    run_phase(cost2, not_art)
-    refactor()
-    rhs = T[:m, ncols]
-    optimal = price_dantzig(T[m, :ncols], not_art, 1e-8) < 0
-    if not (optimal and (rhs >= -1e-9).all() and (rhs <= up[basis] + 1e-9).all()):
+    # While no step has been taken since refactor(), the tableau is the
+    # one a new refactor() would give, bit for bit.
+    run_phase(cost2 if polish else None, free)
+    if iterations + bound_flips > refactored_at:
+        refactor()
+    rhs = T[:m, k]
+    optimal = price_dantzig(T[m, :k], free, 1e-8) < 0
+    if not (optimal and (rhs >= -1e-9).all() and (rhs <= up_basic + 1e-9).all()):
         raise SimplexError("optimality not reached on the restored data")
 
+    # Reduced costs by variable index, 0 on the basic ones.  A
+    # complemented variable's reduced cost is its upper-bound multiplier.
+    rc = np.zeros(ncols + 1)
+    rc[nonbasic] = T[m]
+    if twins is not None:
+        rc[twins] = 0.0 - rc[[surplus_col[i] for i in (twins - unit_col[0]).tolist()]]
     value = np.zeros(ncols)
     value[basis] = rhs
     comp = sign[:nv] < 0
     xt = np.where(comp, up[:nv] - value[:nv], value[:nv])
-    # A complemented column's reduced cost is its upper-bound multiplier.
-    rc = T[m, :nv]
     return _optimum(  # Python floats: the certificate check is scalar code
-        lp, xt.tolist(), _row_duals(T[m].tolist(), unit_col, flipped),
-        np.where(comp, 0.0, rc).tolist(), np.where(comp, rc, 0.0).tolist(),
+        lp, xt.tolist(), _row_duals(rc.tolist(), unit_col, flipped),
+        np.where(comp, 0.0, rc[:nv]).tolist(), np.where(comp, rc[:nv], 0.0).tolist(),
         0.0, iterations, phase1_iterations, bound_flips,
     )
 

@@ -535,6 +535,50 @@ def test_pivot_sequence_is_pinned(mode, formulation, iterations, phase1):
     assert (sol.stats.iterations, sol.stats.phase1_iterations) == (iterations, phase1)
 
 
+@pytest.mark.parametrize(
+    "grid, mode, formulation, iterations, phase1",
+    [
+        (512, "turan", "primal", 261, 144),
+        (256, "turan", "fourier", 252, 133),
+        (256, "delsarte", "fourier", 207, 48),
+        (1024, "turan", "primal", 563, 339),
+    ],
+    ids=["turan-primal-512", "turan-fourier-256", "delsarte-fourier-256",
+         "turan-primal-1024"],
+)
+def test_large_grid_pivot_counts_are_pinned(grid, mode, formulation, iterations, phase1):
+    # [-1,1] on torus 8.  Columns move between tableau positions as they
+    # enter and leave the basis, so these counts guard the rule that every
+    # tie goes to the lowest variable index at sizes where ties are common.
+    dp = sample_set(parse_real_set("[-1,1]"), TorusSpec(Fraction(8), grid))
+    plus = SymmetricSet.from_signed(dp.group, dp.signed_members)
+    build = ProblemSpec.turan if mode == "turan" else ProblemSpec.delsarte
+    sol = solve(build(dp.group, plus), formulation)
+    assert sol.certificate_verdict.ok
+    assert (sol.stats.iterations, sol.stats.phase1_iterations) == (iterations, phase1)
+
+
+@pytest.mark.parametrize("formulation", ["primal", "fourier"])
+@pytest.mark.parametrize("mode", ["turan", "delsarte"])
+@pytest.mark.parametrize("grid", [128, 256, 512])
+def test_interior_variables_have_zero_bound_multipliers(grid, mode, formulation):
+    # A variable strictly inside its bounds is basic, and a basic
+    # variable's reduced cost is 0, not the residue of a refactorization.
+    dp = sample_set(parse_real_set("[-1,1]"), TorusSpec(Fraction(8), grid))
+    plus = SymmetricSet.from_signed(dp.group, dp.signed_members)
+    build = ProblemSpec.turan if mode == "turan" else ProblemSpec.delsarte
+    sol = solve(build(dp.group, plus), formulation)
+    cert = sol.dual_certificate
+    interior = [
+        j for j, (x, (lo, hi)) in enumerate(zip(sol.var_values, sol.lp.var_bounds))
+        if lo < x < hi
+    ]
+    assert interior
+    assert [(cert.lower_bounds[j], cert.upper_bounds[j]) for j in interior] == [
+        (0.0, 0.0)
+    ] * len(interior)
+
+
 # -- the exact path, pinned ---------------------------------------------------
 #
 # Values, pivot counts, row multipliers and bound multipliers of three exact
