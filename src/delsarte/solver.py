@@ -25,7 +25,10 @@ cosine table (``groups``: L values, one per integer phase p / L) indexed
 by the integer phase matrix of the element and character orbit
 representatives, times the orbit sizes.
 The primal form takes its character rows, the Fourier form its element
-rows.  The float table is float64; the exact one is exact where the
+rows (element 0 giving the normalization row), and a ``LinearProgram``
+holds that matrix as its constraint matrix ``A`` beside the row senses
+and right-hand sides; the simplex, the certificate check and the dual
+objective read those arrays.  The float table is float64; the exact one is exact where the
 phase admits a rational cosine (reduced denominators 1, 2, 3, 4, 6) and
 the float value lifted to a ``Fraction`` otherwise, so "exact" means
 exact pivoting on exactly represented row data.  An exact certificate
@@ -132,27 +135,54 @@ class LPRow:
     rhs: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """Dense-ready LP over bounded variables (lo <= x <= hi, both finite),
-    maximization sense.
+    """Dense LP over bounded variables (lo <= x <= hi, both finite),
+    maximization sense: row i reads A[i] . x (senses[i]) rhs[i].
 
-    The objective is stored h-free with the Haar weight as a separate
-    exact scale, so the value scales linearly in the weight by
+    ``A`` is a read-only rows x vars array, float64 or, in exact
+    arithmetic, an object array of ``Fraction``.  Programs compare by
+    identity.  The objective is stored h-free with the Haar weight as a
+    separate exact scale, so the value scales linearly in the weight by
     construction.
     """
 
     var_labels: tuple
     var_bounds: tuple[tuple[object, object], ...]
-    rows: tuple[LPRow, ...]
+    row_labels: tuple
+    A: np.ndarray
+    senses: tuple[str, ...]
+    rhs: tuple
     objective: tuple
     objective_scale: Fraction
     arithmetic: str
     maximize: bool = True
 
+    def __post_init__(self) -> None:
+        for sense in self.senses:
+            if sense not in ("<=", ">=", "="):
+                raise ValueError(f"unknown row sense {sense!r}: <=, >= or =")
+        m, n = self.A.shape
+        for name, want in (("row_labels", m), ("senses", m), ("rhs", m),
+                           ("var_labels", n), ("var_bounds", n), ("objective", n)):
+            if len(getattr(self, name)) != want:
+                raise ValueError(
+                    f"{name} has {len(getattr(self, name))} entries, A has shape {m} x {n}")
+        self.A.flags.writeable = False
+
     @property
     def num_vars(self) -> int:
         return len(self.var_labels)
+
+    @property
+    def rows(self) -> tuple[LPRow, ...]:
+        """The rows as ``LPRow``s, dense, built on every access; the
+        solver reads the arrays, and this view serves outside readers."""
+        return tuple([
+            LPRow(label, tuple(list(enumerate(coeffs))), sense, rhs)
+            for label, coeffs, sense, rhs
+            in zip(self.row_labels, self.A.tolist(), self.senses, self.rhs)
+        ])
 
 
 def _orbits(size: int, neg) -> tuple[list[int], dict[int, int]]:
@@ -209,18 +239,16 @@ def build_primal(spec: ProblemSpec) -> LinearProgram:
     ])
     chi_reps = _orbits(group.size, group.char_neg_index)[0]
     sizes = np.array([rep_size[r] for r in var_reps], dtype=object if exact else float)
-    spectral = (_cosine_matrix(group, var_reps, chi_reps, exact) * sizes[:, None]).T
-    rows = [
-        LPRow(("spectral", k), tuple(list(enumerate(coeffs))), ">=", zero)
-        for k, coeffs in zip(chi_reps, spectral.tolist())
-    ]
     objective = tuple([
         (Fraction(rep_size[r]) if exact else float(rep_size[r])) for r in var_reps
     ])
     return LinearProgram(
         var_labels=tuple(var_reps),
         var_bounds=bounds,
-        rows=tuple(rows),
+        row_labels=tuple([("spectral", k) for k in chi_reps]),
+        A=(_cosine_matrix(group, var_reps, chi_reps, exact) * sizes[:, None]).T,
+        senses=(">=",) * len(chi_reps),
+        rhs=(zero,) * len(chi_reps),
         objective=objective,
         objective_scale=Fraction(group.weight),
         arithmetic=spec.arithmetic,
@@ -248,33 +276,30 @@ def build_fourier_form(spec: ProblemSpec) -> LinearProgram:
     big = Fraction(n) if exact else float(n)
     bounds = tuple([(zero, big) for _ in chi_reps])
 
-    rows: list[LPRow] = [
-        LPRow(
-            ("normalization",),
-            tuple([(j, chi_size[k] * one) for j, k in enumerate(chi_reps)]),
-            "=",
-            big,
-        )
-    ]
-    sign_reps = [
+    # Element rows of the orbit matrix are |G| f(g) in the spectrum
+    # variables: element 0 gives the normalization row, and each orbit
+    # outside Ω₊ or Ω₋ a sign row for each side it lies outside.
+    reps = [0] + [
         g for g in _orbits(group.size, group.neg_index)[0]
         if g != 0 and not (g in plus and g in minus)
     ]
+    rows = [(0, ("normalization",), "=")]
+    for i, g in enumerate(reps[1:], 1):
+        if g not in plus:
+            rows.append((i, ("sign_plus", g), "<="))
+        if g not in minus:
+            rows.append((i, ("sign_minus", g), ">="))
+    picks, labels, senses = zip(*rows)
     sizes = np.array([chi_size[k] for k in chi_reps], dtype=object if exact else float)
-    sign_rows = _cosine_matrix(group, sign_reps, chi_reps, exact) * sizes
-    for g, coeffs in zip(sign_reps, sign_rows.tolist()):
-        in_plus, in_minus = g in plus, g in minus
-        coeffs = tuple(list(enumerate(coeffs)))
-        if not in_plus:
-            rows.append(LPRow(("sign_plus", g), coeffs, "<=", zero))
-        if not in_minus:
-            rows.append(LPRow(("sign_minus", g), coeffs, ">=", zero))
 
     objective = tuple([one if k == 0 else zero for k in chi_reps])
     return LinearProgram(
         var_labels=tuple([("fhat", k) for k in chi_reps]),
         var_bounds=bounds,
-        rows=tuple(rows),
+        row_labels=labels,
+        A=(_cosine_matrix(group, reps, chi_reps, exact) * sizes)[list(picks)],
+        senses=senses,
+        rhs=(big,) + (zero,) * (len(rows) - 1),
         objective=objective,
         objective_scale=Fraction(group.weight),
         arithmetic=spec.arithmetic,
@@ -433,18 +458,16 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     """
     if lp.arithmetic == EXACT:
         return _exact_simplex(lp)
-    rows, upper = _shifted_rows(lp)
-    nv, m = lp.num_vars, len(rows)
-    flipped, surplus_col, unit_col, artificial, ncols = _standard_form(rows, nv)
-    # The true [A | b] by variable index, which refactor() rebuilds from.
-    # The unit columns come last and are the start basis.
-    k = ncols - m  # nonbasic columns
-    data = np.zeros((m, ncols + 1))
-    data[:, :nv] = [dense for dense, _, _ in rows]
-    for i, j in surplus_col.items():
-        data[i, j] = -1.0
-    np.fill_diagonal(data[:, k:], 1.0)
-    data[:, ncols] = [rhs for _, _, rhs in rows]
+    nv, m = lp.num_vars, len(lp.rhs)
+    lo, hi = np.array(lp.var_bounds).T
+    # The true [A | b] over xt = x - lo by variable index, which refactor()
+    # rebuilds from; the shift A . lo is summed left to right, as the
+    # pivots were pinned with.  The unit columns come last and are the
+    # start basis.
+    shifted = np.array(lp.rhs) - np.cumsum(lp.A * lo, axis=1)[:, -1]
+    data, flipped, ge, artificial = _standard_form(lp.A, lp.senses, shifted, np.ones(m))
+    ncols = data.shape[1] - 1
+    k = unit = ncols - m  # nonbasic columns
     # Tableau column q is data column nonbasic[q]: a nonbasic variable, or
     # for q = k the right-hand side.  Row m holds the reduced costs.
     nonbasic = np.arange(k + 1)
@@ -452,7 +475,7 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     basis = np.arange(k, ncols)
     T = np.empty((m + 1, k + 1))
     T[:m, :k] = data[:, :k]
-    up = np.array(upper + [np.inf] * (ncols - nv))  # bound of each variable
+    up = np.concatenate([hi - lo, np.full(ncols - nv, np.inf)])  # bound of each variable
     sign = np.ones(ncols + 1)  # -1 on complemented variables
     not_art = np.ones(ncols + 1, dtype=bool)
     not_art[artificial] = False
@@ -466,7 +489,6 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     # right-hand side is restored before the final polish.
     b = data[:, ncols]  # nonnegative after _standard_form
     delta = 1e-5 * (1.0 + float(b.max())) * np.arange(1, m + 1) / m
-    ge = np.array([sense == ">=" for _, sense, _ in rows])
     T[:m, k] = b
     np.add(b, delta, out=T[:m, k], where=not_art[k:ncols])  # <= rows: a slack
     np.subtract(b, delta, out=T[:m, k], where=ge & (b > delta))
@@ -639,13 +661,13 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     rc = np.zeros(ncols + 1)
     rc[nonbasic] = T[m]
     if twins is not None:
-        rc[twins] = 0.0 - rc[[surplus_col[i] for i in (twins - unit_col[0]).tolist()]]
+        rc[twins] = 0.0 - rc[nv - 1 + np.cumsum(ge)[twins - unit]]  # surplus columns
     value = np.zeros(ncols)
     value[basis] = rhs
     comp = sign[:nv] < 0
     xt = np.where(comp, up[:nv] - value[:nv], value[:nv])
     return _optimum(  # Python floats: the certificate check is scalar code
-        lp, xt.tolist(), _row_duals(rc.tolist(), unit_col, flipped),
+        lp, xt.tolist(), _row_duals(rc.tolist(), unit, flipped),
         np.where(comp, 0.0, rc[:nv]).tolist(), np.where(comp, rc[:nv], 0.0).tolist(),
         0.0, iterations, phase1_iterations, bound_flips,
     )
@@ -670,35 +692,27 @@ def _exact_simplex(lp: LinearProgram) -> RawOptimum:
     """
     nv = lp.num_vars
     lo_num, lo_den = _over_common([b[0] for b in lp.var_bounds])
-    rows, dens = [], []
-    for r in lp.rows:
-        dense, d = _integer_row(r, nv)
-        rhs = r.rhs - Fraction(_dot(dense, lo_num), d * lo_den)
+    rows, b, den = [], [], []  # integer numerators over den
+    for a, rhs in zip(lp.A.tolist(), lp.rhs):
+        nums, d = _over_common(a)
+        rhs = rhs - Fraction(_dot(nums, lo_num), d * lo_den)
         common = math.lcm(d, rhs.denominator)
-        if common != d:
-            dense = [a * (common // d) for a in dense]
-        rows.append((dense, r.sense, rhs.numerator * (common // rhs.denominator)))
-        dens.append(common)
+        rows.append([v * (common // d) for v in nums])
+        b.append(rhs.numerator * (common // rhs.denominator))
+        den.append(common)
     for j, (lo, hi) in enumerate(lp.var_bounds):
         u = hi - lo
-        dense = [0] * nv
-        dense[j] = u.denominator
-        rows.append((dense, "<=", u.numerator))
-        dens.append(u.denominator)
-    flipped, surplus_col, unit_col, artificial, ncols = _standard_form(rows, nv)
+        rows.append([0] * j + [u.denominator] + [0] * (nv - 1 - j))
+        b.append(u.numerator)
+        den.append(u.denominator)
     m = len(rows)
-    M = np.zeros((m + 1, ncols + 1), dtype=object)
-    den = np.ones(m + 1, dtype=object)
-    basis = np.zeros(m, dtype=np.intp)
-    for i, (dense, _, rhs) in enumerate(rows):
-        d = dens[i]
-        M[i, :nv] = dense
-        if i in surplus_col:
-            M[i, surplus_col[i]] = -d
-        M[i, unit_col[i]] = d
-        M[i, ncols] = rhs
-        den[i] = d
-        basis[i] = unit_col[i]
+    data, flipped, _, artificial = _standard_form(
+        np.array(rows, dtype=object), lp.senses + ("<=",) * nv,
+        np.array(b, dtype=object), np.array(den, dtype=object))
+    den.append(1)  # den[m], of the reduced-cost row
+    ncols = data.shape[1] - 1
+    M = np.vstack([data, np.zeros(ncols + 1, dtype=object)])  # row m: reduced costs
+    basis = np.arange(ncols - m, ncols)
 
     art_set = frozenset(artificial)
     not_art = np.ones(ncols, dtype=bool)
@@ -778,58 +792,39 @@ def _exact_simplex(lp: LinearProgram) -> RawOptimum:
         if basis[i] < nv:
             xt[basis[i]] = Fraction(M[i, ncols], den[i])
     obj = [Fraction(a, den[m]) for a in M[m]]
-    y = _row_duals(obj, unit_col, flipped)
+    y = _row_duals(obj, ncols - m, flipped)
     return _optimum(
-        lp, xt, y, obj[:nv], y[len(lp.rows):], Fraction(0), iterations,
+        lp, xt, y, obj[:nv], y[m - nv:], Fraction(0), iterations,
         phase1_iterations,
     )
 
 
-def _shifted_rows(lp: LinearProgram):
-    """The rows of a float program over xt = x - lo as (dense coefficients,
-    sense, rhs), and the upper bounds hi - lo of xt."""
-    nv = lp.num_vars
-    lo = [b[0] for b in lp.var_bounds]
-    rows = []
-    for r in lp.rows:
-        dense = [0.0] * nv
-        shift = 0.0
-        for j, a in r.coeffs:
-            dense[j] = a
-            shift += a * lo[j]
-        rows.append((dense, r.sense, r.rhs - shift))
-    return rows, [hi - lo for lo, hi in lp.var_bounds]
+def _standard_form(A: np.ndarray, senses: Sequence[str], b: np.ndarray,
+                   den: np.ndarray):
+    """The rows [A | b] laid out for the tableau: every row whose right
+    side is negative negated, then the structural columns, a -den_i e_i
+    surplus column per >= row, one +den_i e_i column per row (slack for
+    <=, artificial for >= and =) and b.  ``den`` holds the row
+    denominators of the fraction-free exact rows, ones in float.
+    Variable bounds are not rows here; the float simplex handles them in
+    its ratio test and the exact one appends box rows before calling this.
 
-
-def _standard_form(rows: list, nv: int):
-    """Negate, in place, every row whose right side is negative, and lay
-    out the columns: the structural variables, then a -e_i surplus column
-    per >= row (``surplus_col``), then one +e_i column per row
-    (``unit_col``: slack for <=, artificial for >= and =).  Variable
-    bounds are not rows here; the float simplex handles them in its ratio
-    test and the exact one appends box rows before calling this.
-
-    Returns which rows were negated and the layout.
+    Returns the laid-out rows, which rows were negated, which are >= rows
+    after that and the artificial columns.
     """
-    flipped = [False] * len(rows)
-    for i, (dense, sense, rhs) in enumerate(rows):
-        if rhs < 0:
-            rows[i] = ([-a for a in dense], _flip(sense), -rhs)
-            flipped[i] = True
-
-    surplus_col: dict[int, int] = {}
-    ncols = nv
-    for i, (_, sense, _) in enumerate(rows):
-        if sense == ">=":
-            surplus_col[i] = ncols
-            ncols += 1
-    unit_col, artificial = [], []
-    for _, sense, _ in rows:
-        if sense != "<=":
-            artificial.append(ncols)
-        unit_col.append(ncols)
-        ncols += 1
-    return flipped, surplus_col, unit_col, artificial, ncols
+    m, nv = A.shape
+    flipped = b < 0
+    senses = np.array(senses)
+    ge = np.where(flipped, senses == "<=", senses == ">=")
+    surplus = ge.nonzero()[0]
+    unit = nv + surplus.size
+    data = np.zeros((m, unit + m + 1), dtype=A.dtype)
+    data[:, :nv] = np.where(flipped[:, None], -A, A)
+    data[surplus, np.arange(nv, unit)] = -den[surplus]
+    np.fill_diagonal(data[:, unit:], den)
+    data[:, -1] = np.where(flipped, -b, b)
+    slack = np.where(flipped, senses == ">=", senses == "<=")
+    return data, flipped, ge, (unit + (~slack).nonzero()[0]).tolist()
 
 
 def _over_common(values) -> tuple[list[int], int]:
@@ -837,16 +832,6 @@ def _over_common(values) -> tuple[list[int], int]:
     denominator."""
     d = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (d // v.denominator) for v in values], d
-
-
-def _integer_row(row: LPRow, nv: int) -> tuple[list[int], int]:
-    """An exact row's coefficients as dense integer numerators over their
-    least common denominator."""
-    nums, d = _over_common([a for _, a in row.coeffs])
-    dense = [0] * nv
-    for (j, _), a in zip(row.coeffs, nums):
-        dense[j] = a
-    return dense, d
 
 
 def _dot(a, b) -> int:
@@ -865,10 +850,10 @@ def _phase2_cost(lp: LinearProgram, ncols: int, zero) -> list:
     return cost + [zero] * (ncols - lp.num_vars)
 
 
-def _row_duals(obj, unit_col, flipped) -> list:
-    """y_i is the reduced cost of the +e_i column, sign-corrected for rows
-    that were negated to make the right side nonnegative."""
-    return [-obj[c] if f else obj[c] for c, f in zip(unit_col, flipped)]
+def _row_duals(obj: list, unit: int, flipped: np.ndarray) -> list:
+    """y_i is the reduced cost of the +e_i column, unit + i, sign-corrected
+    for rows that were negated to make the right side nonnegative."""
+    return [-r if f else r for r, f in zip(obj[unit:], flipped.tolist())]
 
 
 def _optimum(lp, xt, y, lower, upper, zero, iterations, phase1_iterations,
@@ -882,17 +867,13 @@ def _optimum(lp, xt, y, lower, upper, zero, iterations, phase1_iterations,
     return RawOptimum(
         x=x,
         objective=objective,
-        row_duals=tuple(y[: len(lp.rows)]),
+        row_duals=tuple(y[: len(lp.rhs)]),
         lower_duals=tuple(lower),
         upper_duals=tuple(upper),
         iterations=iterations,
         phase1_iterations=phase1_iterations,
         bound_flips=bound_flips,
     )
-
-
-def _flip(sense: str) -> str:
-    return {"<=": ">=", ">=": "<=", "=": "="}[sense]
 
 
 # -- certificates and solutions ----------------------------------------------
@@ -1044,7 +1025,7 @@ def solve(spec: ProblemSpec, formulation: str = "auto") -> Solution:
     function = GroupFunction(spec.group, [float(v) for v in values])
 
     certificate = DualCertificate(
-        rows=tuple([(r.label, y) for r, y in zip(lp.rows, raw.row_duals)]),
+        rows=tuple([(label, y) for label, y in zip(lp.row_labels, raw.row_duals)]),
         lower_bounds=raw.lower_duals,
         upper_bounds=raw.upper_duals,
         dual_objective=_dual_objective(
@@ -1079,18 +1060,15 @@ def solve(spec: ProblemSpec, formulation: str = "auto") -> Solution:
 
 def _dual_objective(lp: LinearProgram, row_duals, upper_duals, lower_duals):
     """b . y + hi . mu - lo . nu, by integer dot products when exact."""
+    lo, hi = zip(*lp.var_bounds)
     if lp.arithmetic == EXACT:
-        lo, hi = zip(*lp.var_bounds)
-        rhs = [r.rhs for r in lp.rows]
-        return (_exact_dot([*row_duals, *upper_duals], [*rhs, *hi])
+        return (_exact_dot([*row_duals, *upper_duals], [*lp.rhs, *hi])
                 - _exact_dot(lower_duals, lo))
-    acc = 0.0
-    for row, y in zip(lp.rows, row_duals):
-        acc += y * row.rhs
-    for j, mu in enumerate(upper_duals):
-        acc += mu * lp.var_bounds[j][1]
-    for j, nu in enumerate(lower_duals):
-        acc -= nu * lp.var_bounds[j][0]
+    acc = 0.0  # summed in this order: the gap of every artifact reads it
+    for y, b in zip([*row_duals, *upper_duals], [*lp.rhs, *hi]):
+        acc += y * b
+    for nu, b in zip(lower_duals, lo):
+        acc -= nu * b
     return acc
 
 
@@ -1104,36 +1082,25 @@ class CertificateVerdict:
 
 
 def _float_residuals(lp: LinearProgram, x, y, upper, lower):
-    """Row slacks rhs - a . x and stationarity residuals
-    c_j - sum_i y_i a_ij - mu_j + nu_j of a float program."""
-    row_maps = [dict(row.coeffs) for row in lp.rows]
-    slacks = [
-        row.rhs - sum((a * x[j] for j, a in coeffs.items()), 0.0)
-        for row, coeffs in zip(lp.rows, row_maps)
-    ]
-    residuals = []
-    for j in range(lp.num_vars):
-        stat = lp.objective[j]
-        for coeffs, y_i in zip(row_maps, y):
-            coeff = coeffs.get(j)
-            if coeff is not None:
-                stat = stat - y_i * coeff
-        residuals.append(stat - upper[j] + lower[j])
-    return slacks, residuals
+    """Row slacks rhs - A x and stationarity residuals c - y A - mu + nu
+    of a float program."""
+    slacks = np.array(lp.rhs) - lp.A @ np.array(x)
+    residuals = (np.array(lp.objective) - np.array(y) @ lp.A
+                 - np.array(upper) + np.array(lower))
+    return slacks.tolist(), residuals.tolist()
 
 
 def _exact_residuals(lp: LinearProgram, x, y, upper, lower):
     """The same slacks and residuals of an exact program, each one
     Fraction built from an integer dot product over a common denominator."""
-    nv = lp.num_vars
     X, dx = _over_common(x)
-    rows = [_integer_row(row, nv) for row in lp.rows]
+    rows = [_over_common(a) for a in lp.A.tolist()]
     slacks = []
-    for row, (A, d) in zip(lp.rows, rows):
+    for rhs, (A, d) in zip(lp.rhs, rows):
         den = d * dx
         slacks.append(Fraction(
-            row.rhs.numerator * den - row.rhs.denominator * _dot(A, X),
-            row.rhs.denominator * den,
+            rhs.numerator * den - rhs.denominator * _dot(A, X),
+            rhs.denominator * den,
         ))
     # y_i a_ij = y_i.numerator A_ij / (y_i.denominator d_i); one denominator
     # D takes these terms and every c_j, mu_j and nu_j.
@@ -1190,12 +1157,12 @@ def verify_certificate(sol: Solution, tol: float | None = None) -> CertificateVe
     floor, stat_eps = -eps, eps * 10
     residual_fn = _exact_residuals if exact else _float_residuals
     slacks, residuals = residual_fn(lp, x, y, cert.upper_bounds, cert.lower_bounds)
-    for row, slack, (label, y_i) in zip(lp.rows, slacks, cert.rows):
+    for sense, slack, (label, y_i) in zip(lp.senses, slacks, cert.rows):
         name = _row_name(label)
-        if row.sense == "<=":
+        if sense == "<=":
             check(slack >= floor, lambda: f"{name}: primal row violated by {float(-slack)}")
             check(y_i >= floor, lambda: f"{name}: multiplier sign ({y_i})")
-        elif row.sense == ">=":
+        elif sense == ">=":
             check(slack <= eps, lambda: f"{name}: primal row violated by {float(slack)}")
             check(y_i <= eps, lambda: f"{name}: multiplier sign ({y_i})")
         check(

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,11 +19,11 @@ from delsarte.solver import (
     FLOAT,
     DualCertificate,
     LinearProgram,
-    LPRow,
     ProblemSpec,
     SimplexError,
     Solution,
     SolveStats,
+    build_primal,
     leave_bland,
     leave_bounded,
     leave_harris,
@@ -38,19 +39,20 @@ from delsarte.solver import (
 
 
 def make_lp(var_bounds, rows, objective, arithmetic=FLOAT, scale=Fraction(1)):
+    """A program from rows of ({variable: coefficient}, sense, rhs)."""
     lift = Fraction if arithmetic == EXACT else float
+    A = np.full((len(rows), len(var_bounds)), lift(0),
+                dtype=object if arithmetic == EXACT else float)
+    for i, (coeffs, _, _) in enumerate(rows):
+        for j, a in coeffs.items():
+            A[i, j] = lift(a)
     return LinearProgram(
         var_labels=tuple(range(len(var_bounds))),
         var_bounds=tuple((lift(lo), lift(hi)) for lo, hi in var_bounds),
-        rows=tuple(
-            LPRow(
-                ("row", k),
-                tuple((j, lift(a)) for j, a in coeffs.items()),
-                sense,
-                lift(rhs),
-            )
-            for k, (coeffs, sense, rhs) in enumerate(rows)
-        ),
+        row_labels=tuple(("row", k) for k in range(len(rows))),
+        A=A,
+        senses=tuple(sense for _, sense, _ in rows),
+        rhs=tuple(lift(rhs) for _, _, rhs in rows),
         objective=tuple(lift(c) for c in objective),
         objective_scale=scale,
         arithmetic=arithmetic,
@@ -112,27 +114,18 @@ def test_degenerate_program_terminates():
 def highs(lp: LinearProgram):
     from scipy.optimize import linprog
 
-    n = lp.num_vars
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for row in lp.rows:
-        dense = [0.0] * n
-        for j, a in row.coeffs:
-            dense[j] = float(a)
-        if row.sense == "<=":
-            a_ub.append(dense)
-            b_ub.append(float(row.rhs))
-        elif row.sense == ">=":
-            a_ub.append([-v for v in dense])
-            b_ub.append(-float(row.rhs))
-        else:
-            a_eq.append(dense)
-            b_eq.append(float(row.rhs))
+    # >= rows enter as <= rows negated, in their places among the <= rows.
+    A, b = lp.A.astype(float), np.array(lp.rhs, dtype=float)
+    senses = np.array(lp.senses)
+    eq = senses == "="
+    sign = np.where(senses == ">=", -1.0, 1.0)
+    a_ub, b_ub = (A * sign[:, None])[~eq], (b * sign)[~eq]
     return linprog(
         c=[-float(c) for c in lp.objective],
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
+        A_ub=a_ub if a_ub.size else None,
+        b_ub=b_ub if a_ub.size else None,
+        A_eq=A[eq] if eq.any() else None,
+        b_eq=b[eq] if eq.any() else None,
         bounds=[(float(lo), float(hi)) for lo, hi in lp.var_bounds],
         method="highs",
         options={
@@ -184,7 +177,7 @@ def certificate_verdict(lp: LinearProgram, raw, tol: float):
         spec=spec, status="optimal", value=float(raw.objective), value_exact=None,
         extremal_function=None, extremal_values_exact=None,
         dual_certificate=DualCertificate(
-            rows=tuple((r.label, y) for r, y in zip(lp.rows, raw.row_duals)),
+            rows=tuple(zip(lp.row_labels, raw.row_duals)),
             lower_bounds=raw.lower_duals, upper_bounds=raw.upper_duals,
             dual_objective=None,
         ),
@@ -264,6 +257,37 @@ def test_optimum_at_every_upper_bound_takes_no_pivot():
     assert all(v == 0.0 for v in raw.lower_duals)
     assert all(mu == 0.0 or x == h for mu, x, h in zip(raw.upper_duals, raw.x, hi))
     assert certificate_verdict(lp, raw, 1e-12).ok
+
+
+@pytest.mark.parametrize("sense", ["=<", "<", "=="])
+def test_unknown_row_sense_is_rejected(sense):
+    # max -x - y s.t. x + y (sense) 4 on [0, 5]^2: an unknown sense used to
+    # be read as an equality, and the solve returned -4 instead of 0.
+    with pytest.raises(ValueError, match="unknown row sense"):
+        make_lp([(0, 5), (0, 5)], [({0: 1, 1: 1}, sense, 4)], [-1, -1])
+
+
+@pytest.mark.parametrize(
+    "name", ["row_labels", "senses", "rhs", "var_labels", "var_bounds", "objective"]
+)
+def test_length_disagreeing_with_the_matrix_is_rejected(name):
+    # A short objective used to end in a numpy broadcast error, a short
+    # bound list in an IndexError inside the simplex.
+    lp = make_lp([(0, 1), (0, 1)], [({0: 1}, "<=", 1), ({1: 1}, ">=", 0)], [1, 1])
+    with pytest.raises(ValueError, match=f"{name} has 1 entries, A has shape 2 x 2"):
+        replace(lp, **{name: getattr(lp, name)[:1]})
+
+
+def test_program_matrix_is_read_only_and_programs_compare_by_identity():
+    lp = make_lp([(0, 1)], [({0: 1}, "<=", 1)], [1])
+    with pytest.raises(ValueError, match="read-only"):
+        lp.A[0, 0] = 2.0
+    group = FiniteAbelianGroup((8,))
+    spec = ProblemSpec.turan(group, SymmetricSet.from_signed(group, [-1, 0, 1]))
+    sol = solve(spec)
+    twin = replace(sol, lp=build_primal(spec))
+    assert sol.lp != twin.lp and sol.lp == sol.lp
+    assert sol != twin  # compares field by field without raising
 
 
 @pytest.mark.parametrize("rhs", [1, 0.5], ids=["bound-flip", "pivot"])

@@ -23,7 +23,9 @@ from delsarte.realsets import parse_real_set
 from delsarte.reduction import SubgroupView
 from delsarte.solver import (
     EXACT,
+    FLOAT,
     ClassEmptyProblem,
+    LinearProgram,
     ProblemSpec,
     build_fourier_form,
     build_primal,
@@ -43,12 +45,10 @@ def test_build_primal_orbit_and_row_counts():
     # conditions are the variables' bounds.
     lp = build_primal(ProblemSpec.turan(Z8, OMEGA_Z8))
     assert lp.var_labels == (0, 1)  # orbits {0} and {1,7}
-    assert [row.label for row in lp.rows] == [("spectral", k) for k in range(5)]
-    assert all(row.sense == ">=" and row.rhs == 0 for row in lp.rows)
+    assert lp.row_labels == tuple(("spectral", k) for k in range(5))
+    assert lp.senses == (">=",) * 5 and lp.rhs == (0,) * 5
     assert lp.var_bounds == ((1, 1), (-1, 1))
-    for row in lp.rows:
-        for j, _ in row.coeffs:
-            assert 0 <= j < lp.num_vars
+    assert lp.A.shape == (5, lp.num_vars)
     # Orbit 1 only in Ω₊, orbit 2 only in Ω₋, orbits 3 and 4 in neither.
     spec = ProblemSpec.general(
         Z8, OMEGA_Z8, SymmetricSet.from_signed(Z8, [-2, 2]), arithmetic=EXACT
@@ -56,7 +56,7 @@ def test_build_primal_orbit_and_row_counts():
     lp = build_primal(spec)
     assert lp.var_labels == (0, 1, 2)
     assert lp.var_bounds == ((1, 1), (0, 1), (-1, 0))
-    assert [row.label for row in lp.rows] == [("spectral", k) for k in range(5)]
+    assert lp.row_labels == tuple(("spectral", k) for k in range(5))
 
 
 def test_build_primal_single_point():
@@ -389,11 +389,8 @@ def test_bound_flips_are_counted_in_solve_stats():
 def test_lp_rows_reference_valid_variables_and_finite_bounds():
     for build in (build_primal, build_fourier_form):
         lp = build(ProblemSpec.turan(Z8, OMEGA_Z8))
-        for row in lp.rows:
-            assert len({j for j, _ in row.coeffs}) == len(row.coeffs)
-            for j, a in row.coeffs:
-                assert 0 <= j < lp.num_vars
-                assert math.isfinite(float(a))
+        assert lp.A.shape == (len(lp.row_labels), lp.num_vars)
+        assert np.isfinite(lp.A).all()
         for lo, hi in lp.var_bounds:
             assert math.isfinite(float(lo)) and math.isfinite(float(hi))
 
@@ -422,7 +419,7 @@ def test_default_formulation_has_fewer_rows():
     z6 = FiniteAbelianGroup((6,))
     tie = ProblemSpec.general(z6, SymmetricSet.from_signed(z6, [-1, 0, 1]),
                               SymmetricSet.from_signed(z6, [-2, -1, 1, 2]))
-    assert len(build_primal(tie).rows) == len(build_fourier_form(tie).rows) == 4
+    assert len(build_primal(tie).rhs) == len(build_fourier_form(tie).rhs) == 4
     assert solve(tie).formulation == "primal"
     rng = random.Random(1107)
     chosen = {"primal": 0, "fourier": 0}
@@ -438,8 +435,8 @@ def test_default_formulation_has_fewer_rows():
             spec = ProblemSpec.general(
                 group, omega_plus, random_symmetric_set(group, rng, 0.3)
             )
-        primal_rows = len(build_primal(spec).rows)
-        fourier_rows = len(build_fourier_form(spec).rows)
+        primal_rows = len(build_primal(spec).rhs)
+        fourier_rows = len(build_fourier_form(spec).rhs)
         sol = solve(spec)
         expected = "fourier" if fourier_rows < primal_rows else "primal"
         assert sol.formulation == expected, (group, mode, primal_rows, fourier_rows)
@@ -533,6 +530,43 @@ def test_float_solves_read_the_cosine_table(monkeypatch):
             for formulation in ("primal", "fourier"):
                 sol = solve(spec, formulation)
                 assert sol.certificate_verdict.ok, (group, spec.mode, formulation)
+
+
+@pytest.mark.parametrize("arithmetic", [FLOAT, EXACT])
+@pytest.mark.parametrize("build", [build_primal, build_fourier_form])
+def test_rows_view_reads_the_arrays(build, arithmetic):
+    # The LPRow view outside readers take: row i is (label, every (j, A_ij)
+    # in column order, sense, rhs), entries of the matrix's own type, and
+    # a new tuple on every access.  The Fourier LP has rows of each sense.
+    spec = ProblemSpec.general(
+        Z8, OMEGA_Z8, SymmetricSet.from_signed(Z8, [-2, 2]), arithmetic=arithmetic
+    )
+    lp = build(spec)
+    expected = tuple(
+        (lp.row_labels[i], tuple(enumerate(lp.A[i].tolist())), lp.senses[i], lp.rhs[i])
+        for i in range(len(lp.rhs))
+    )
+    view = lp.rows
+    assert repr(tuple((r.label, r.coeffs, r.sense, r.rhs) for r in view)) == repr(expected)
+    assert view == lp.rows and view is not lp.rows
+
+
+def test_solver_reads_no_rows_view(monkeypatch):
+    # The simplex, the certificate check and the dual objective read the
+    # arrays of a LinearProgram, never its LPRow view, in both forms and
+    # both arithmetics.
+    def rows(self):
+        raise AssertionError("solver code read LinearProgram.rows")
+
+    monkeypatch.setattr(LinearProgram, "rows", property(rows))
+    omega = SymmetricSet.from_signed(Z8, [-1, 0, 1])
+    for arithmetic in (FLOAT, EXACT):
+        for spec in (ProblemSpec.turan(Z8, omega, arithmetic=arithmetic),
+                     ProblemSpec.delsarte(Z8, omega, arithmetic=arithmetic)):
+            for formulation in ("primal", "fourier"):
+                sol = solve(spec, formulation)
+                assert sol.certificate_verdict.ok, (arithmetic, spec.mode, formulation)
+                assert verify_certificate(sol).ok
 
 
 @st.composite
