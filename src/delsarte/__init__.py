@@ -11,9 +11,8 @@ from .classes import (
     negative_support,
     positive_support,
 )
-from .discretize import DiscreteProblemSet, TorusSpec, default_circumference, sample_set, sweep_plan
+from .discretize import DiscreteProblemSet, TorusSpec, sample_set
 from .groups import (
-    Character,
     FiniteAbelianGroup,
     GroupElement,
     ScalingMap,
@@ -26,7 +25,6 @@ from .harmonic import (
     autocorrelation,
     convolve,
     dft,
-    dft_reference,
     evenize,
     fejer_kernel,
     idft,

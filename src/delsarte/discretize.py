@@ -65,14 +65,6 @@ class DiscreteProblemSet:
         return len(self.signed_members)
 
 
-def default_circumference(s: RealSet1D) -> Fraction:
-    """4 * sup|x|: keeps the set in half the torus so wraparound cannot
-    manufacture spurious feasible functions."""
-    if s.is_empty:
-        raise ValueError("no default circumference for the empty set")
-    return 4 * closure(s).sup_abs()
-
-
 def sample_set(s: RealSet1D, torus: TorusSpec) -> DiscreteProblemSet:
     """Indices j in (-N/2, N/2] with j * step in S, decided exactly."""
     if not is_symmetric(s):
@@ -98,11 +90,3 @@ def sample_set(s: RealSet1D, torus: TorusSpec) -> DiscreteProblemSet:
         boundary_coherent=verdict.ok,
         warning=None if verdict.ok else RELAXATION_WARNING,
     )
-
-
-def sweep_plan(
-    s: RealSet1D, circumference: Fraction | int, grids: list[int]
-) -> list[DiscreteProblemSet]:
-    """One discretization per grid count, all on the same circumference."""
-    circumference = Fraction(circumference)
-    return [sample_set(s, TorusSpec(circumference, n)) for n in grids]

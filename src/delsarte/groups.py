@@ -6,22 +6,22 @@ coordinate fastest, so a function on the group is a dense array of length
 number p of 1/L turns, where L is the lcm of the cyclic orders
 (``phase_modulus``): chi_k(g) = exp(2*pi*i * p / L) with
 p = sum g_i k_i (L / n_i) mod L (``phase_index``).  Phases stay integers,
-so symmetry and equality checks are exact; ``pairing_turn`` gives the
-same phase as the fraction p / L, and complex values are materialized
-only at use sites.  ``phases`` gives the whole integer matrix of phases
-of a list of elements against a list of characters by array arithmetic.
+so symmetry and equality checks are exact.  ``phases`` gives the whole
+integer matrix of phases of a list of elements against a list of
+characters by array arithmetic.
 
 Every cosine a group needs is one of the L entries of its cosine table,
 built once per group: ``float_cosines`` folds each integer phase p to
 q = min(p, L - p) <= L/2 and evaluates cos(2*pi*q/L), or
 -cos(2*pi*(L - 2q)/(2L)) past a quarter turn, taking the rational value
-where the reduced denominator is 1, 2, 3, 4 or 6 (Niven); it agrees bit
-for bit with ``cos_turn(Fraction(p, L))``.  ``exact_cosines`` keeps
-those rational values and lifts the irrational entries from the float
-table.  LP row data in both arithmetics is read from these tables at
-integer phases, so exact programs' zero-tolerance certificate checks
-compare exact numbers throughout.  ``cos_turn`` and ``pairing_turn``
-are the per-phase references the tables are tested against.
+where the reduced denominator is 1, 2, 3, 4 or 6 (Niven).
+``exact_cosines`` keeps those rational values and lifts the irrational
+entries from the float table.  LP row data in both arithmetics is read
+from these tables at integer phases, so exact programs' zero-tolerance
+certificate checks compare exact numbers throughout.  The tests check
+both tables against cosines folded one ``Fraction`` p / L at a time
+(``fraction_cosines`` in ``tests/_generators.py``), and ``phase_index``
+against a phase summed as one ``Fraction`` per factor (``fraction_phase``).
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-def _fold_turn(t: Fraction) -> Fraction:
-    """Reduce a phase to the canonical representative in [0, 1)."""
-    return t - (t.numerator // t.denominator)
-
-
 # cos(2*pi*t) is rational exactly when the reduced denominator of t is
 # 1, 2, 3, 4 or 6 (Niven); the table is keyed by that denominator.
 _RATIONAL_COS = {
@@ -52,11 +47,6 @@ _RATIONAL_COS = {
     4: {1: Fraction(0), 3: Fraction(0)},
     6: {1: Fraction(1, 2), 5: Fraction(1, 2)},
 }
-_RATIONAL_SIN = {
-    1: {0: Fraction(0)},
-    2: {1: Fraction(0)},
-    4: {1: Fraction(1), 3: Fraction(-1)},
-}
 
 
 def _niven_cos(p: int, modulus: int) -> Fraction | None:
@@ -64,49 +54,6 @@ def _niven_cos(p: int, modulus: int) -> Fraction | None:
     irrational; the cosines of p and L - p are equal."""
     d = modulus // math.gcd(p, modulus)
     return _RATIONAL_COS[d][p // (modulus // d)] if d in _RATIONAL_COS else None
-
-
-def cos_turn_exact(t: Fraction) -> Fraction | None:
-    """Exact rational value of cos(2*pi*t), or None if irrational."""
-    t = _fold_turn(t)
-    return _RATIONAL_COS.get(t.denominator, {}).get(t.numerator)
-
-
-def sin_turn_exact(t: Fraction) -> Fraction | None:
-    t = _fold_turn(t)
-    return _RATIONAL_SIN.get(t.denominator, {}).get(t.numerator)
-
-
-def cos_turn(t: Fraction) -> float:
-    """cos(2*pi*t) with the argument folded into [0, 1/4] for accuracy."""
-    exact = cos_turn_exact(t)
-    if exact is not None:
-        return float(exact)
-    t = _fold_turn(t)
-    if t > Fraction(1, 2):
-        t = 1 - t
-    if t > Fraction(1, 4):
-        return -math.cos(2.0 * math.pi * float(Fraction(1, 2) - t))
-    return math.cos(2.0 * math.pi * float(t))
-
-
-def sin_turn(t: Fraction) -> float:
-    exact = sin_turn_exact(t)
-    if exact is not None:
-        return float(exact)
-    t = _fold_turn(t)
-    sign = 1.0
-    if t > Fraction(1, 2):
-        t = 1 - t
-        sign = -1.0
-    if t > Fraction(1, 4):
-        t = Fraction(1, 2) - t
-    return sign * math.sin(2.0 * math.pi * float(t))
-
-
-def unit_turn(t: Fraction) -> complex:
-    """exp(2*pi*i*t)."""
-    return complex(cos_turn(t), sin_turn(t))
 
 
 @dataclass(frozen=True)
@@ -222,10 +169,6 @@ class FiniteAbelianGroup:
             p += ((g_index // s) % n) * ((chi_index // s) % n) * w
         return p % self.phase_modulus
 
-    def pairing_turn(self, g_index: int, chi_index: int) -> Fraction:
-        """Phase of chi(g) in turns, as an exact fraction in [0, 1)."""
-        return Fraction(self.phase_index(g_index, chi_index), self.phase_modulus)
-
     def phases(self, elements: Sequence[int], characters: Sequence[int]) -> np.ndarray:
         """Integer matrix of ``phase_index(elements[i], characters[j])``:
         coordinates times L / n_i, summed over the factors, mod L."""
@@ -266,11 +209,6 @@ class FiniteAbelianGroup:
     def char_neg_index(self, chi_index: int) -> int:
         # The dual group has the same mixed-radix coordinates.
         return self.neg_index(chi_index)
-
-    def character(self, coords: Sequence[int] | int) -> "Character":
-        if isinstance(coords, int):
-            return Character(self, self.coords_of(coords))
-        return Character(self, tuple(int(c) % n for c, n in zip(coords, self.orders)))
 
     def label(self, index: int) -> str:
         signed = self.signed_coords(index)
@@ -347,25 +285,6 @@ class GroupElement:
 
     def __str__(self) -> str:
         return self.group.label(self.index)
-
-
-@dataclass(frozen=True)
-class Character:
-    """Character of the group; evaluation goes through an exact phase."""
-
-    group: FiniteAbelianGroup
-    coords: tuple[int, ...]
-
-    @property
-    def index(self) -> int:
-        return self.group.index_of(self.coords)
-
-    def turn(self, g: GroupElement | int) -> Fraction:
-        g_index = g.index if isinstance(g, GroupElement) else int(g)
-        return self.group.pairing_turn(g_index, self.index)
-
-    def value(self, g: GroupElement | int) -> complex:
-        return unit_turn(self.turn(g))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ Transform convention: the forward transform carries the Haar weight and
 the inverse carries 1/(h*|G|), so the value at the trivial character is
 exactly the integral of the function.  Every transform is the numpy FFT
 of a product group; a subgroup view's functions go through its parent's,
-extended by zero.  The naive quadratic-time summation with exact rational
-phases (``dft_reference``) is the reference the FFT path is tested against.
+extended by zero.  The tests check every transform against a quadratic
+direct sum of exp(-2*pi*i * phase_index / L) over the group
+(``direct_transform`` in ``tests/_generators.py``), and every convolution
+against a double sum over the group's own addition (``direct_convolution``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import FiniteAbelianGroup, GroupElement, unit_turn
+from .groups import FiniteAbelianGroup, GroupElement
 
 
 def fmt_sig(x: float, digits: int = 12) -> str:
@@ -162,26 +164,6 @@ def dft(f: GroupFunction) -> Spectrum:
     product, members, characters = _fft_frame(f.group)
     out = _read(_fftn(product, f.values, members), characters)
     return Spectrum(f.group, out * float(f.group.weight))
-
-
-def dft_reference(f: GroupFunction) -> Spectrum:
-    """Naive quadratic-time transform with exact rational phases.
-
-    This is the correctness anchor for every spectral certificate; the fast
-    path is validated against it.
-    """
-    group = f.group
-    n = group.size
-    h = float(group.weight)
-    out = np.zeros(n, dtype=complex)
-    for k in range(n):
-        acc = 0j
-        for g in range(n):
-            value = f.values[g]
-            if value != 0.0:
-                acc += value * unit_turn(-group.pairing_turn(g, k))
-        out[k] = h * acc
-    return Spectrum(group, out)
 
 
 def idft(spectrum: Spectrum) -> GroupFunction:

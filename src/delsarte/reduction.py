@@ -80,9 +80,6 @@ class SubgroupView:
     def phase_index(self, g_index: int, chi_index: int) -> int:
         return self.parent.phase_index(self.members[g_index], self.parent_characters[chi_index])
 
-    def pairing_turn(self, g_index: int, chi_index: int) -> Fraction:
-        return Fraction(self.phase_index(g_index, chi_index), self.phase_modulus)
-
     def phases(self, elements: Sequence[int], characters: Sequence[int]) -> np.ndarray:
         return self.parent.phases(
             np.array(self.members)[np.asarray(elements, dtype=np.intp)],

@@ -3,6 +3,7 @@ for the test suite."""
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from delsarte.classes import SymmetricSet
-from delsarte.groups import FiniteAbelianGroup, cos_turn, cos_turn_exact
+from delsarte.groups import FiniteAbelianGroup
 from delsarte.realsets import RealSet1D
 from delsarte.solver import ProblemSpec
 
@@ -101,6 +102,39 @@ def fraction_phase(group: FiniteAbelianGroup, g_index: int, chi_index: int) -> F
     return t - math.floor(t)
 
 
+# cos(2*pi*t) is rational exactly when the reduced denominator of t is
+# 1, 2, 3, 4 or 6 (Niven).  A copy of its own, so that the references below
+# do not read the table that the group's cosine tables are built from.
+_NIVEN_COS = {
+    Fraction(0): Fraction(1),
+    Fraction(1, 2): Fraction(-1),
+    Fraction(1, 3): Fraction(-1, 2),
+    Fraction(2, 3): Fraction(-1, 2),
+    Fraction(1, 4): Fraction(0),
+    Fraction(3, 4): Fraction(0),
+    Fraction(1, 6): Fraction(1, 2),
+    Fraction(5, 6): Fraction(1, 2),
+}
+
+
+def cos_turn_exact(t: Fraction) -> Fraction | None:
+    """Exact rational value of cos(2*pi*t), or None if irrational."""
+    return _NIVEN_COS.get(t - math.floor(t))
+
+
+def cos_turn(t: Fraction) -> float:
+    """cos(2*pi*t), folded as a Fraction into [0, 1/4] for accuracy."""
+    exact = cos_turn_exact(t)
+    if exact is not None:
+        return float(exact)
+    t -= math.floor(t)
+    if t > Fraction(1, 2):
+        t = 1 - t
+    if t > Fraction(1, 4):
+        return -math.cos(2.0 * math.pi * float(Fraction(1, 2) - t))
+    return math.cos(2.0 * math.pi * float(t))
+
+
 def fraction_cosines(modulus: int) -> tuple[list[float], list[Fraction]]:
     """The float and exact cosines of every phase p / L, built per phase from
     a Fraction: ``cos_turn``, and ``cos_turn_exact`` where rational or the
@@ -130,6 +164,23 @@ def fraction_dual(subgroup) -> tuple[list[tuple[Fraction, ...]], list[int]]:
             signatures.append(signature)
     negation = [seen[tuple(-t % 1 for t in signature)] for signature in signatures]
     return signatures, negation
+
+
+def direct_transform(f) -> np.ndarray:
+    """h * sum_g f(g) exp(-2*pi*i * p(g, chi_k) / L) for every character k,
+    by the quadratic direct sum over the integer phases ``phase_index``
+    with library trigonometry, no FFT; on a product group or a subgroup
+    view alike."""
+    group = f.group
+    n = group.size
+    out = np.zeros(n, dtype=complex)
+    for k in range(n):
+        acc = 0j
+        for g in range(n):
+            turn = group.phase_index(g, k) / group.phase_modulus
+            acc += f.values[g] * cmath.exp(-2j * math.pi * turn)
+        out[k] = float(group.weight) * acc
+    return out
 
 
 def direct_convolution(f, g) -> np.ndarray:

@@ -3,12 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from delsarte.discretize import (
-    TorusSpec,
-    default_circumference,
-    sample_set,
-    sweep_plan,
-)
+from delsarte.discretize import TorusSpec, sample_set
 from delsarte.realsets import RealSet1D, closure, interior, parse_real_set
 
 T32 = TorusSpec(Fraction(8), 32)
@@ -36,6 +31,7 @@ def test_sample_open_interval_excludes_endpoints():
 def test_sample_closed_interval_includes_endpoints():
     dps = sample_set(parse_real_set("[-1,1]"), T32)
     assert dps.signed_members == tuple(range(-4, 5))
+    assert len(sample_set(parse_real_set("[-2,2]"), T32)) == 17
 
 
 def test_sample_punctured_set_drops_only_puncture_points():
@@ -51,18 +47,6 @@ def test_sample_rejects_wraparound_and_asymmetry():
         sample_set(parse_real_set("[-4,4]"), T32)
     with pytest.raises(ValueError, match="symmetric"):
         sample_set(parse_real_set("(0,1)"), T32)
-
-
-def test_sweep_plan_sizes():
-    sets = sweep_plan(parse_real_set("(-1,1)"), Fraction(8), [32, 64])
-    assert [len(s) for s in sets] == [7, 15]
-    assert len(sample_set(parse_real_set("[-2,2]"), T32)) == 17
-    assert sweep_plan(parse_real_set("(-1,1)"), Fraction(8), []) == []
-
-
-def test_default_circumference():
-    assert default_circumference(parse_real_set("(-2,-1)u(-1,1)u(1,2)")) == 8
-    assert default_circumference(parse_real_set("[-3/2,3/2]")) == 6
 
 
 def _random_symmetric(rng: random.Random) -> RealSet1D:

@@ -5,15 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _generators import fraction_cosines, fraction_phase
-from delsarte.groups import (
-    MAX_ORDER,
-    FiniteAbelianGroup,
-    cos_turn,
-    cos_turn_exact,
-    parse_group,
-    unit_turn,
-)
+from _generators import cos_turn, cos_turn_exact, fraction_cosines, fraction_phase
+from delsarte.groups import MAX_ORDER, FiniteAbelianGroup, parse_group
 
 
 def test_add_examples():
@@ -103,12 +96,15 @@ def test_scaling_map_is_homomorphic_bijection():
 
 
 def test_character_phases_are_exact_rationals():
+    # chi_(1,1) at (2,2) on Z4 x Z3 turns by 2/4 + 2/3 - 1 = 1/6, which is
+    # the integer phase 2 over L = 12, where both tables hold cos = 1/2.
     g = FiniteAbelianGroup((4, 3))
-    chi = g.character((1, 1))
-    e = g.element((2, 2))
-    assert chi.turn(e) == Fraction(2, 4) + Fraction(2, 3) - 1
-    value = chi.value(e)
-    assert abs(value - unit_turn(Fraction(1, 6))) < 1e-15
+    chi, e = g.index_of((1, 1)), g.index_of((2, 2))
+    assert g.phase_modulus == 12
+    p = g.phase_index(e, chi)
+    assert p == 2
+    assert Fraction(p, g.phase_modulus) == Fraction(2, 4) + Fraction(2, 3) - 1
+    assert g.float_cosines[p] == 0.5 and g.exact_cosines[p] == Fraction(1, 2)
 
 
 def test_cos_turn_exact_table():
@@ -183,7 +179,6 @@ def test_phase_index_matches_fraction_phase(case):
     reference = fraction_phase(group, g, chi)
     assert 0 <= group.phase_index(g, chi) < modulus
     assert Fraction(group.phase_index(g, chi), modulus) == reference
-    assert group.pairing_turn(g, chi) == reference
 
 
 def test_exact_cosines_lift_every_phase_once():

@@ -9,16 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _generators import (
+    direct_transform,
     nice_random_group,
     random_group,
     random_symmetric_set,
     scipy_reference_value,
 )
-from delsarte import groups
 from delsarte.classes import SymmetricSet, in_class
 from delsarte.discretize import TorusSpec, sample_set
 from delsarte.groups import FiniteAbelianGroup
-from delsarte.harmonic import dft, dft_reference
+from delsarte.harmonic import dft
 from delsarte.realsets import parse_real_set
 from delsarte.reduction import SubgroupView
 from delsarte.solver import (
@@ -475,11 +475,11 @@ def fourier_cases():
 @pytest.mark.parametrize("spec", fourier_cases(),
                          ids=["z12", "z4xz6", "z3xz5xz2", "view-delsarte", "view-turan"])
 def test_fourier_reconstruction_matches_reference_transform(spec):
-    # The FFT (or, on a subgroup view, the quadratic) inverse transform of
-    # the spectrum variables, transformed back by the exact-phase reference.
+    # The FFT inverse transform of the spectrum variables, transformed back
+    # by the quadratic direct sum over integer phases.
     sol = solve(spec, "fourier")
     assert sol.certificate_verdict.ok
-    reference = dft_reference(sol.extremal_function).values
+    reference = direct_transform(sol.extremal_function)
     assert np.abs(reference - spectrum_of_variables(sol)).max() <= 1e-12
 
 
@@ -513,23 +513,29 @@ def test_exact_fourier_form_matches_exact_primal(mode):
 
 
 def test_float_solves_read_the_cosine_table(monkeypatch):
-    # Float LP data comes from the group's cosine table at integer phases:
-    # no phase is formed as a Fraction and no cosine is folded per entry,
-    # on product groups and on subgroup views, in both forms.
+    # LP data in both arithmetics comes from the group's cosine table at
+    # integer phase matrices: no solve asks for a scalar phase, on product
+    # groups and on subgroup views, in both forms.  The groups are built
+    # first, since a view finds its dual from scalar phases.
     def per_entry(*args):
-        raise AssertionError("per-entry phase or cosine on the float path")
+        raise AssertionError("scalar phase on a solve path")
 
-    monkeypatch.setattr(groups, "cos_turn", per_entry)
-    monkeypatch.setattr(groups.FiniteAbelianGroup, "pairing_turn", per_entry)
-    monkeypatch.setattr(SubgroupView, "pairing_turn", per_entry)
     z = FiniteAbelianGroup((40,))
     view = SubgroupView(FiniteAbelianGroup((80,)).subgroup_generated([2]))
+    monkeypatch.setattr(FiniteAbelianGroup, "phase_index", per_entry)
+    monkeypatch.setattr(SubgroupView, "phase_index", per_entry)
     for group in (z, view):
         omega = SymmetricSet.from_indices(group, {0, 1, 2, group.neg_index(1), group.neg_index(2)})
-        for spec in (ProblemSpec.turan(group, omega), ProblemSpec.delsarte(group, omega)):
-            for formulation in ("primal", "fourier"):
-                sol = solve(spec, formulation)
-                assert sol.certificate_verdict.ok, (group, spec.mode, formulation)
+        for arithmetic in (FLOAT, EXACT):
+            for spec in (
+                ProblemSpec.turan(group, omega, arithmetic=arithmetic),
+                ProblemSpec.delsarte(group, omega, arithmetic=arithmetic),
+            ):
+                for formulation in ("primal", "fourier"):
+                    sol = solve(spec, formulation)
+                    assert sol.certificate_verdict.ok, (group, spec.mode, arithmetic, formulation)
+                    if arithmetic == EXACT:
+                        assert verify_certificate(sol, tol=0.0).ok
 
 
 @pytest.mark.parametrize("arithmetic", [FLOAT, EXACT])
