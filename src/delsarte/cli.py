@@ -86,6 +86,18 @@ def _set_member(token: str, text: str) -> int | tuple[int, ...]:
     return tuple(map(int, parts)) if is_tuple else int(token)
 
 
+_GRID_COUNT = re.compile(r"[0-9]+")
+
+
+def _grid_count(flag: str, token: str, text: str | None = None) -> int:
+    """One grid count of ``flag``: ASCII digits only, so '1_28', '+8' and
+    ' 8' are input errors, not 128 and 8.  ``text`` is the whole list."""
+    if not _GRID_COUNT.fullmatch(token):
+        given = f"{token!r}" if text is None else f"{text!r}: {token!r}"
+        raise InputError(f"{flag} {given} is not a decimal grid count")
+    return int(token)
+
+
 def parse_discrete_set(group: FiniteAbelianGroup, text: str) -> SymmetricSet:
     """Parse "{-1,0,1}" or "{(0,0),(1,0),(3,0)}" into a symmetric set."""
     body = text.strip().replace(" ", "")
@@ -197,6 +209,8 @@ def _problem(args) -> argparse.Namespace:
             flags = ", ".join("--" + k.replace("_", "-") for k in given)
             raise InputError(f"--problem states the whole problem; drop {flags}")
         p = _read_problem_file(Path(args.problem))
+    elif getattr(args, "grid", None) is not None:
+        p.grid = _grid_count("--grid", args.grid)
     if p.omega_plus is None:
         raise InputError("missing --omega-plus (problem field 'omega_plus')")
     if not 0 <= p.tol < math.inf:
@@ -293,7 +307,8 @@ def _cmd_sweep(args) -> int:
     p = _problem(args)
     s_plus, s_minus = _real_sets(p)
     if args.grid_list:
-        grids = [int(g) for g in args.grid_list.split(",") if g]
+        grids = [_grid_count("--grid-list", g, args.grid_list)
+                 for g in args.grid_list.split(",") if g]
     elif args.grid:
         grids = [args.grid]
     else:
@@ -341,7 +356,7 @@ def _cmd_check_set(args) -> int:
 def _cmd_classes(args) -> int:
     s_plus = parse_real_set(args.omega_plus)
     s_minus = parse_real_set(args.omega_minus) if args.omega_minus else s_plus
-    torus = TorusSpec(args.torus, args.grid)
+    torus = TorusSpec(args.torus, _grid_count("--grid", args.grid))
     group = FiniteAbelianGroup((torus.grid,), torus.step)
     samples: list[tuple[str, GroupFunction]] = [("delta", GroupFunction.delta(group))]
     for m in (1, 2, 4):
@@ -389,14 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_solve, plus_required=False)
     p_solve.add_argument("--out", default=".", help="output directory")
     p_solve.add_argument("--torus", help="circumference for grid problems")
-    p_solve.add_argument("--grid", type=int, help="grid count for torus problems")
+    p_solve.add_argument("--grid", help="grid count for torus problems")
 
     p_sweep = sub.add_parser("sweep", help="convergence table over grid counts")
     p_sweep.set_defaults(run=_cmd_sweep)
     add_common(p_sweep, with_group=False)
     p_sweep.add_argument("--out", default=".", help="output directory")
     p_sweep.add_argument("--torus", required=True, help="circumference")
-    p_sweep.add_argument("--grid", type=int)
+    p_sweep.add_argument("--grid")
     p_sweep.add_argument("--grid-list", help="comma-separated grid counts")
 
     p_check = sub.add_parser("check-set", help="topology predicates for a real set")
@@ -408,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classes.add_argument("--omega-plus", required=True)
     p_classes.add_argument("--omega-minus")
     p_classes.add_argument("--torus", required=True)
-    p_classes.add_argument("--grid", type=int, required=True)
+    p_classes.add_argument("--grid", required=True)
 
     p_reduce = sub.add_parser("reduce", help="reduction to a generated subgroup")
     p_reduce.set_defaults(run=_cmd_reduce)

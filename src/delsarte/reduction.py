@@ -4,7 +4,7 @@ that checks the equal-constants reduction on concrete instances.
 A subgroup inherits the parent's Haar weight (the restricted measure), its
 addition, and its characters: every character of the subgroup arises by
 restricting a parent character, so the subgroup's dual is enumerated by
-deduplicating restricted phase signatures (tuples of integer phases p
+deduplicating restricted phase signatures (vectors of integer phases p
 over the parent's modulus L, the lcm of its orders).  A view keeps, for
 each of its characters, the parent character that first restricted to it
 (``parent_characters``), and reads every phase, phase matrix and cosine
@@ -29,6 +29,24 @@ from .harmonic import GroupFunction
 from .solver import ProblemSpec, Solution, solve
 
 
+# Parent characters per phase matrix while a view's dual is enumerated; the
+# matrix holds |H| times this many integers.
+SIGNATURE_BLOCK = 256
+
+
+def _signatures(parent, members: Sequence[int], characters: Sequence[int],
+                negate: bool = False):
+    """(character, signature) pairs: the phases of each parent character on
+    ``members`` (negated mod L if ``negate``) as the bytes of one int64
+    vector, from the phase matrix of a block of characters at a time."""
+    for start in range(0, len(characters), SIGNATURE_BLOCK):
+        block = characters[start:start + SIGNATURE_BLOCK]
+        phases = parent.phases(members, block).T
+        if negate:
+            phases = -phases % parent.phase_modulus
+        yield from zip(block, map(np.ndarray.tobytes, np.ascontiguousarray(phases)))
+
+
 class SubgroupView:
     """A subgroup presented through the group interface used by the
     transform and the solver: indices 0..|H|-1 in parent-index order, and
@@ -45,13 +63,12 @@ class SubgroupView:
         self.parent = parent
         self.members = members
         self.weight = Fraction(parent.weight)
-        self.phase_modulus = modulus = parent.phase_modulus
+        self.phase_modulus = parent.phase_modulus
         self._index_in_sub = {g: i for i, g in enumerate(members)}
         # Characters: deduplicated restrictions of the parent's characters in
         # order of first appearance, until all |H| of them are found.
-        seen: dict[tuple[int, ...], int] = {}
-        for chi in range(parent.size):
-            signature = tuple(parent.phase_index(g, chi) for g in members)
+        seen: dict[bytes, int] = {}
+        for chi, signature in _signatures(parent, members, range(parent.size)):
             seen.setdefault(signature, chi)
             if len(seen) == len(members):
                 break
@@ -60,7 +77,8 @@ class SubgroupView:
         position = {signature: k for k, signature in enumerate(seen)}
         self.parent_characters = tuple(seen.values())
         self._char_neg = tuple(
-            position[tuple(p and modulus - p for p in signature)] for signature in seen
+            position[signature] for _, signature in
+            _signatures(parent, members, self.parent_characters, negate=True)
         )
 
     @property

@@ -336,10 +336,15 @@ def price_dantzig(rc: np.ndarray, allowed: np.ndarray, eps: float) -> int:
     return j if masked[j] < -eps else -1
 
 
-def price_bland(rc: np.ndarray, allowed: np.ndarray, eps) -> int:
-    """First allowed column with reduced cost below -eps, or -1."""
-    hits = np.flatnonzero(allowed & (rc < -eps))
-    return int(hits[0]) if hits.size else -1
+def price_bland(rc: list, labels: list, allowed) -> int:
+    """Bland's entering rule: the slot of the lowest label whose reduced
+    cost is negative and which ``allowed`` (by label) may price; -1 when
+    none prices out."""
+    best, lowest = -1, None
+    for q, (c, j) in enumerate(zip(rc, labels)):
+        if c < 0 and allowed[j] and (best < 0 or j < lowest):
+            best, lowest = q, j
+    return best
 
 
 def leave_harris(col: np.ndarray, rhs: np.ndarray, pivot_tol: float,
@@ -361,22 +366,23 @@ def leave_harris(col: np.ndarray, rhs: np.ndarray, pivot_tol: float,
     return int(rows[np.where(b / a <= theta, a, 0.0).argmax()])
 
 
-def leave_bland(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> int:
+def leave_bland(col: list, rhs: list, basis: list) -> int:
     """Bland's leaving rule over the positive entries: the strict minimum
-    ratio, ties broken by the lowest basic variable index; -1 when no
+    ratio, ties broken by the lowest basic variable label; -1 when no
     entry is positive.  Entries are exact (``Fraction`` or ``int``), and
     ratios are compared by cross-multiplying the positive entries, so
     integer numerators over positive row denominators give the same
     choice as the rationals they encode, with no division."""
-    rows = np.flatnonzero(col > 0)
-    if rows.size == 0:
-        return -1
-    best = rows[0]
-    for i in rows[1:]:
-        here, there = rhs[i] * col[best], rhs[best] * col[i]
-        if here < there or (here == there and basis[i] < basis[best]):
-            best = i
-    return int(best)
+    best = -1
+    for i, a in enumerate(col):
+        if a > 0:
+            if best < 0:
+                best = i
+                continue
+            here, there = rhs[i] * col[best], rhs[best] * a
+            if here < there or (here == there and basis[i] < basis[best]):
+                best = i
+    return best
 
 
 def polish_row(rhs: np.ndarray, floor: float) -> int:
@@ -676,15 +682,21 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
 def _exact_simplex(lp: LinearProgram) -> RawOptimum:
     """Two-phase simplex under Bland's rule in exact arithmetic.
 
-    The tableau is fraction-free: row i holds Python-int numerators
-    ``M[i]`` over one positive denominator ``den[i]``, reduced by their
-    gcd, and row ``m`` is the reduced-cost row.  A pivot on (r, s) sets
-    ``M[i] <- M[r,s] M[i] - M[i,s] M[r]`` and ``den[i] <- den[i] M[r,s]``
-    on every other row with a nonzero entry in column s, then
-    ``den[r] <- M[r,s]``.  Signs and ratios do not depend on the row
-    denominators, so every choice is the one the rational tableau makes;
-    values become ``Fraction``s only at extraction.  No tolerances, no
-    perturbation.
+    The tableau is fraction-free and condensed, as in the float engine:
+    it keeps only the nonbasic columns and the right-hand side, since a
+    basic column holds its row's denominator in its own row and 0 in
+    every other.  Row i is a list of Python-int numerators ``M[i]`` over
+    one positive denominator ``den[i]``, reduced by their gcd, and row
+    ``m`` holds the reduced costs.  Slot q holds variable ``nonbasic[q]``
+    and slot k the right-hand side.  A pivot on (r, q) with p = M[r][q]
+    sets ``M[i] <- p M[i] - M[i][q] M[r]`` and ``den[i] <- den[i] p`` on
+    every other row with a nonzero entry in slot q, then ``den[r] <- p``;
+    slot q then holds the leaving variable's column, ``-M[i][q] den[r]``
+    in row i and the old ``den[r]`` in row r.  The omitted basic entries
+    change no gcd, so every integer is the one the full tableau holds.
+    Signs and ratios do not depend on the row denominators, so every
+    choice is the one the rational tableau makes; values become
+    ``Fraction``s only at extraction.  No tolerances, no perturbation.
 
     Each row over xt = x - lo enters as integer numerators over the lcm of
     its denominators (which leaves them with gcd 1), followed by one box
@@ -709,14 +721,16 @@ def _exact_simplex(lp: LinearProgram) -> RawOptimum:
     data, flipped, _, artificial = _standard_form(
         np.array(rows, dtype=object), lp.senses + ("<=",) * nv,
         np.array(b, dtype=object), np.array(den, dtype=object))
-    den.append(1)  # den[m], of the reduced-cost row
     ncols = data.shape[1] - 1
-    M = np.vstack([data, np.zeros(ncols + 1, dtype=object)])  # row m: reduced costs
-    basis = np.arange(ncols - m, ncols)
-
-    art_set = frozenset(artificial)
-    not_art = np.ones(ncols, dtype=bool)
-    not_art[artificial] = False
+    k = ncols - m  # nonbasic columns; the unit columns are the start basis
+    M = [row[:k] + row[ncols:] for row in data.tolist()]
+    M.append([0] * (k + 1))  # row m: reduced costs
+    den.append(1)
+    nonbasic = list(range(k))
+    basis = list(range(k, ncols))
+    not_art = [True] * ncols
+    for j in artificial:
+        not_art[j] = False
     limit = PIVOTS_PER_COLUMN * (m + ncols)  # steps per phase
 
     def reduce(i: int) -> None:
@@ -724,55 +738,61 @@ def _exact_simplex(lp: LinearProgram) -> RawOptimum:
         if den[i] < 0:
             g = -g
         if g != 1:
-            M[i] //= g
+            M[i] = [a // g for a in M[i]]
             den[i] //= g
 
-    def pivot(r: int, s: int) -> None:
-        p = M[r, s]
-        for i in np.flatnonzero(M[:, s]):
-            if i != r:
-                M[i] = p * M[i] - M[i, s] * M[r]
+    def pivot(r: int, q: int) -> None:
+        R = M[r]
+        p, d = R[q], den[r]
+        for i, row in enumerate(M):
+            f = row[q]
+            if f and i != r:
+                row = M[i] = [p * a - f * c for a, c in zip(row, R)]
+                row[q] = -f * d
                 den[i] *= p
                 reduce(i)
+        R[q] = d
         den[r] = p
         reduce(r)
-        basis[r] = s
+        nonbasic[q], basis[r] = basis[r], nonbasic[q]
 
     def set_objective(cost: list) -> None:
-        # Reduced costs c_B B^-1 [A | b] - [c | 0] over one common
+        # Reduced costs c_B B^-1 [A_N | b] - [c_N | 0] over one common
         # denominator, from integer costs C / cd.
         cd = math.lcm(*(c.denominator for c in cost))
         C = [c.numerator * (cd // c.denominator) for c in cost]
         basic = [i for i in range(m) if C[basis[i]]]
         d = math.lcm(*(den[i] for i in basic))
-        M[m, :ncols] = [-c * d for c in C]
-        M[m, ncols] = 0
+        rc = [-C[j] * d for j in nonbasic] + [0]
         for i in basic:
-            M[m] += C[basis[i]] * (d // den[i]) * M[i]
+            w = C[basis[i]] * (d // den[i])
+            rc = [a + w * c for a, c in zip(rc, M[i])]
+        M[m] = rc
         den[m] = cd * d
         reduce(m)
 
-    def run_phase(cost: list, allowed: np.ndarray) -> int:
+    def run_phase(cost: list, allowed: list) -> int:
         set_objective(cost)
         steps = 0
         while True:
-            enter = price_bland(M[m, :ncols], allowed, 0)
-            if enter < 0:
+            q = price_bland(M[m], nonbasic, allowed)
+            if q < 0:
                 return steps
-            leave = leave_bland(M[:m, enter], M[:m, ncols], basis)
+            leave = leave_bland([M[i][q] for i in range(m)],
+                                [M[i][k] for i in range(m)], basis)
             if leave < 0:
                 raise SimplexError("unbounded direction in a bounded program")
-            pivot(leave, enter)
+            pivot(leave, q)
             steps += 1
             if steps > limit:
                 raise SimplexError("iteration limit exceeded")
 
     phase1_iterations = 0
     if artificial:
-        cost1 = [-1 if j in art_set else 0 for j in range(ncols)]
-        phase1_iterations = run_phase(cost1, np.ones(ncols, dtype=bool))
+        cost1 = [0 if free else -1 for free in not_art]
+        phase1_iterations = run_phase(cost1, [True] * ncols)
         infeas = sum(
-            (Fraction(M[i, ncols], den[i]) for i in range(m) if basis[i] in art_set),
+            (Fraction(M[i][k], den[i]) for i in range(m) if not not_art[basis[i]]),
             Fraction(0),
         )
         if infeas > 0:
@@ -780,19 +800,21 @@ def _exact_simplex(lp: LinearProgram) -> RawOptimum:
         # Drive leftover degenerate artificials out of the basis so phase 2
         # cannot move them; an all-zero row is redundant and stays put.
         for i in range(m):
-            if basis[i] in art_set:
-                hits = np.flatnonzero(not_art & (M[i, :ncols] != 0))
-                if hits.size:
-                    pivot(i, int(hits[0]))
+            if not not_art[basis[i]]:
+                hits = [j for j, a in zip(nonbasic, M[i]) if a and not_art[j]]
+                if hits:
+                    pivot(i, nonbasic.index(min(hits)))
 
     iterations = phase1_iterations + run_phase(_phase2_cost(lp, ncols, 0), not_art)
 
     xt = [Fraction(0)] * nv
-    for i in range(m):
-        if basis[i] < nv:
-            xt[basis[i]] = Fraction(M[i, ncols], den[i])
-    obj = [Fraction(a, den[m]) for a in M[m]]
-    y = _row_duals(obj, ncols - m, flipped)
+    for i, j in enumerate(basis):
+        if j < nv:
+            xt[j] = Fraction(M[i][k], den[i])
+    obj = [Fraction(0)] * ncols  # reduced costs by variable, 0 on the basic ones
+    for q, j in enumerate(nonbasic):
+        obj[j] = Fraction(M[m][q], den[m])
+    y = _row_duals(obj, k, flipped)
     return _optimum(
         lp, xt, y, obj[:nv], y[m - nv:], Fraction(0), iterations,
         phase1_iterations,
@@ -1081,13 +1103,50 @@ class CertificateVerdict:
         return self.ok
 
 
-def _float_residuals(lp: LinearProgram, x, y, upper, lower):
-    """Row slacks rhs - A x and stationarity residuals c - y A - mu + nu
-    of a float program."""
-    slacks = np.array(lp.rhs) - lp.A @ np.array(x)
-    residuals = (np.array(lp.objective) - np.array(y) @ lp.A
-                 - np.array(upper) + np.array(lower))
-    return slacks.tolist(), residuals.tolist()
+def _float_violations(lp: LinearProgram, x, y, cert, eps: float) -> list[str]:
+    """The row and variable conditions of a float certificate, each one a
+    mask over all rows or all variables; messages are formatted only for
+    the failing entries, in the exact check's order (by row, then by
+    variable, each in the order of its conditions)."""
+    X, Y = np.array(x), np.array(y)
+    nu, mu = np.array(cert.lower_bounds), np.array(cert.upper_bounds)
+    lo, hi = np.array(lp.var_bounds).T
+    slacks = np.array(lp.rhs) - lp.A @ X
+    residuals = np.array(lp.objective) - Y @ lp.A - mu + nu
+    # A row's slack and multiplier times its sign must be >= -eps; an
+    # equality (sign 0) has no such condition.
+    sign = np.array([{"<=": 1.0, ">=": -1.0}.get(s, 0.0) for s in lp.senses])
+    m, n = Y.size, X.size
+    # Complementary pairs a_k b_k: (y_i, slack_i), (nu_j, x_j - lo_j) and
+    # (mu_j, hi_j - x_j); the distances to the bounds must be >= -eps too.
+    a = np.concatenate([Y, nu, mu])
+    b = np.concatenate([slacks, X - lo, hi - X])
+    with np.errstate(invalid="ignore", over="ignore"):
+        small = (a == 0) | (b == 0) | (np.abs(a * b) <= eps * np.maximum(1, np.abs(a)))
+        row_fails = ~np.array([
+            (sign * slacks >= -eps) | (sign == 0), (sign * Y >= -eps) | (sign == 0),
+            small[:m],
+        ]).T
+        var_fails = ~np.concatenate([
+            np.concatenate([b[m:], a[m:]]) >= -eps, small[m:], np.abs(residuals) <= eps * 10,
+        ]).reshape(7, n).T
+    violations = []
+    for i, kind in zip(*row_fails.nonzero()):
+        name, slack, y_i = _row_name(lp.row_labels[i]), float(slacks[i]), y[i]
+        violations.append(
+            f"{name}: primal row violated by {-slack if sign[i] > 0 else slack}" if kind == 0
+            else f"{name}: multiplier sign ({y_i})" if kind == 1
+            else f"{name}: complementary slackness (y={y_i}, slack={slack})"
+        )
+    for j, kind in zip(*var_fails.nonzero()):
+        violations.append(f"variable[{lp.var_labels[j]}]: " + (
+            "below lower bound", "above upper bound",
+            f"lower multiplier sign ({cert.lower_bounds[j]})",
+            f"upper multiplier sign ({cert.upper_bounds[j]})",
+            "lower-bound complementary slackness", "upper-bound complementary slackness",
+            f"dual stationarity residual {float(residuals[j])}",
+        )[kind])
+    return violations
 
 
 def _exact_residuals(lp: LinearProgram, x, y, upper, lower):
@@ -1152,41 +1211,42 @@ def verify_certificate(sol: Solution, tol: float | None = None) -> CertificateVe
             violations.append(message())
 
     eps = tol * max(1.0, abs(float(sol.value)))
-    if exact:
+    if not exact:
+        violations.extend(_float_violations(lp, x, y, cert, eps))
+    else:
         eps = Fraction(eps)
-    floor, stat_eps = -eps, eps * 10
-    residual_fn = _exact_residuals if exact else _float_residuals
-    slacks, residuals = residual_fn(lp, x, y, cert.upper_bounds, cert.lower_bounds)
-    for sense, slack, (label, y_i) in zip(lp.senses, slacks, cert.rows):
-        name = _row_name(label)
-        if sense == "<=":
-            check(slack >= floor, lambda: f"{name}: primal row violated by {float(-slack)}")
-            check(y_i >= floor, lambda: f"{name}: multiplier sign ({y_i})")
-        elif sense == ">=":
-            check(slack <= eps, lambda: f"{name}: primal row violated by {float(slack)}")
-            check(y_i <= eps, lambda: f"{name}: multiplier sign ({y_i})")
-        check(
-            _negligible(y_i, slack, eps),
-            lambda: f"{name}: complementary slackness (y={y_i}, slack={float(slack)})",
-        )
-    for j, residual in enumerate(residuals):
-        lo_j, hi_j = lp.var_bounds[j]
-        nu = cert.lower_bounds[j]
-        mu = cert.upper_bounds[j]
-        above_lo, below_hi = x[j] - lo_j, hi_j - x[j]
-        name = f"variable[{lp.var_labels[j]}]"
-        check(above_lo >= floor, lambda: f"{name}: below lower bound")
-        check(below_hi >= floor, lambda: f"{name}: above upper bound")
-        check(nu >= floor, lambda: f"{name}: lower multiplier sign ({nu})")
-        check(mu >= floor, lambda: f"{name}: upper multiplier sign ({mu})")
-        check(_negligible(nu, above_lo, eps),
-              lambda: f"{name}: lower-bound complementary slackness")
-        check(_negligible(mu, below_hi, eps),
-              lambda: f"{name}: upper-bound complementary slackness")
-        check(
-            -stat_eps <= residual <= stat_eps,
-            lambda: f"{name}: dual stationarity residual {float(residual)}",
-        )
+        floor, stat_eps = -eps, eps * 10
+        slacks, residuals = _exact_residuals(lp, x, y, cert.upper_bounds, cert.lower_bounds)
+        for sense, slack, (label, y_i) in zip(lp.senses, slacks, cert.rows):
+            name = _row_name(label)
+            if sense == "<=":
+                check(slack >= floor, lambda: f"{name}: primal row violated by {float(-slack)}")
+                check(y_i >= floor, lambda: f"{name}: multiplier sign ({y_i})")
+            elif sense == ">=":
+                check(slack <= eps, lambda: f"{name}: primal row violated by {float(slack)}")
+                check(y_i <= eps, lambda: f"{name}: multiplier sign ({y_i})")
+            check(
+                _negligible(y_i, slack, eps),
+                lambda: f"{name}: complementary slackness (y={y_i}, slack={float(slack)})",
+            )
+        for j, residual in enumerate(residuals):
+            lo_j, hi_j = lp.var_bounds[j]
+            nu = cert.lower_bounds[j]
+            mu = cert.upper_bounds[j]
+            above_lo, below_hi = x[j] - lo_j, hi_j - x[j]
+            name = f"variable[{lp.var_labels[j]}]"
+            check(above_lo >= floor, lambda: f"{name}: below lower bound")
+            check(below_hi >= floor, lambda: f"{name}: above upper bound")
+            check(nu >= floor, lambda: f"{name}: lower multiplier sign ({nu})")
+            check(mu >= floor, lambda: f"{name}: upper multiplier sign ({mu})")
+            check(_negligible(nu, above_lo, eps),
+                  lambda: f"{name}: lower-bound complementary slackness")
+            check(_negligible(mu, below_hi, eps),
+                  lambda: f"{name}: upper-bound complementary slackness")
+            check(
+                -stat_eps <= residual <= stat_eps,
+                lambda: f"{name}: dual stationarity residual {float(residual)}",
+            )
     # Recompute the dual objective from the multipliers themselves; the
     # certificate is the multipliers, not a claimed gap.
     dual_obj = _dual_objective(lp, y, cert.upper_bounds, cert.lower_bounds)

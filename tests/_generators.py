@@ -225,3 +225,104 @@ def scipy_reference_value(spec: ProblemSpec) -> float:
     )
     assert res.success
     return float(group.weight) * float(-res.fun)
+
+
+def reference_bland(lp) -> dict:
+    """Textbook two-phase simplex under Bland's rule on a full ``Fraction``
+    tableau, with the exact engine's layout and tie rules.
+
+    Over xt = x - lo the program's rows come first, then one box row
+    xt_j <= hi_j - lo_j per variable.  A row with a negative right side is
+    negated; the columns are the structural ones, a -1 surplus column per
+    >= row, one +1 column per row (slack for <=, artificial otherwise) and
+    the right side, and the +1 columns are the first basis.  Phase 1
+    maximizes minus the sum of the artificials over every column; then the
+    artificials left basic are pivoted out on the lowest other column with
+    a nonzero entry, and phase 2 prices every column but the artificials.
+    The entering column is the lowest with a negative reduced cost, the
+    leaving row the strict minimum ratio, ties to the lowest basic column.
+    Returns the pivot counts, x and the multipliers as ``Fraction``s.
+    """
+    nv = lp.num_vars
+    lo = [b[0] for b in lp.var_bounds]
+    rows = [([Fraction(a) for a in row], sense,
+             Fraction(rhs) - sum(Fraction(a) * l for a, l in zip(row, lo)))
+            for row, sense, rhs in zip(lp.A.tolist(), lp.senses, lp.rhs)]
+    for j, (l, h) in enumerate(lp.var_bounds):
+        rows.append(([Fraction(int(k == j)) for k in range(nv)], "<=", Fraction(h - l)))
+    m = len(rows)
+    flipped = [rhs < 0 for _, _, rhs in rows]
+    senses = []
+    for (a, sense, rhs), flip in zip(rows, flipped):
+        senses.append({"<=": ">=", ">=": "<=", "=": "="}[sense] if flip else sense)
+    surplus = [i for i in range(m) if senses[i] == ">="]
+    unit = nv + len(surplus)
+    ncols = unit + m
+    T = []
+    for i, ((a, _, rhs), flip) in enumerate(zip(rows, flipped)):
+        sign = -1 if flip else 1
+        row = [sign * v for v in a] + [Fraction(0)] * (ncols - nv) + [sign * rhs]
+        if i in surplus:
+            row[nv + surplus.index(i)] = Fraction(-1)
+        row[unit + i] = Fraction(1)
+        T.append(row)
+    artificial = {unit + i for i in range(m) if senses[i] != "<="}
+    basis = list(range(unit, ncols))
+
+    def pivot(r, s):
+        p = T[r][s]
+        T[r] = [v / p for v in T[r]]
+        for i in range(m):
+            if i != r and T[i][s]:
+                f = T[i][s]
+                T[i] = [a - f * b for a, b in zip(T[i], T[r])]
+        basis[r] = s
+
+    def reduced_costs(cost):
+        return [sum(cost[basis[i]] * T[i][j] for i in range(m)) - cost[j]
+                for j in range(ncols)]
+
+    def run_phase(cost, allowed):
+        pivots = 0
+        while True:
+            rc = reduced_costs(cost)
+            enter = next((j for j in range(ncols) if allowed(j) and rc[j] < 0), None)
+            if enter is None:
+                return pivots, rc
+            leave = None
+            for i in range(m):
+                if T[i][enter] > 0:
+                    ratio = T[i][ncols] / T[i][enter]
+                    if (leave is None or ratio < best
+                            or ratio == best and basis[i] < basis[leave]):
+                        leave, best = i, ratio
+            pivot(leave, enter)
+            pivots += 1
+
+    phase1 = 0
+    if artificial:
+        cost1 = [Fraction(-1 if j in artificial else 0) for j in range(ncols)]
+        phase1, _ = run_phase(cost1, lambda j: True)
+        if any(T[i][ncols] for i in range(m) if basis[i] in artificial):
+            raise ValueError("infeasible program")
+        for i in range(m):
+            if basis[i] in artificial:
+                hits = [j for j in range(ncols) if j not in artificial and T[i][j]]
+                if hits:
+                    pivot(i, hits[0])
+    cost2 = [Fraction(c if lp.maximize else -c) for c in lp.objective]
+    cost2 += [Fraction(0)] * (ncols - nv)
+    phase2, rc = run_phase(cost2, lambda j: j not in artificial)
+    xt = [Fraction(0)] * nv
+    for i, j in enumerate(basis):
+        if j < nv:
+            xt[j] = T[i][ncols]
+    y = [-rc[unit + i] if flipped[i] else rc[unit + i] for i in range(m)]
+    return {
+        "iterations": phase1 + phase2,
+        "phase1_iterations": phase1,
+        "x": tuple(l + v for l, v in zip(lo, xt)),
+        "row_duals": tuple(y[: len(lp.rhs)]),
+        "lower_duals": tuple(rc[:nv]),
+        "upper_duals": tuple(y[m - nv:]),
+    }

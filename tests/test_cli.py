@@ -163,6 +163,23 @@ BAD_INPUTS = {
     ],
 }
 
+# Grid counts that int() reads but that are not decimal integers, and a
+# list entry that is not a number; the error must quote the flag and the literal.
+BAD_GRID_COUNTS = {
+    "underscored-grid": ("solve", "--grid", "1_28", "'1_28'"),
+    "underscored-sweep-grid": ("sweep", "--grid", "1_28", "'1_28'"),
+    "underscored-grid-list-entry": ("sweep", "--grid-list", "16,1_28", "'16,1_28': '1_28'"),
+    "signed-grid-list-entry": ("sweep", "--grid-list", "+16", "'+16': '+16'"),
+    "spaced-grid": ("solve", "--grid", " 16", "' 16'"),
+    "non-numeric-grid-list-entry": ("sweep", "--grid-list", "16,x", "'16,x': 'x'"),
+}
+BAD_INPUTS.update({
+    case: lambda d, command=command, flag=flag, literal=literal: [
+        command, "--torus", "8", "--omega-plus", "[-1,1]", flag, literal,
+    ]
+    for case, (command, flag, literal, _) in BAD_GRID_COUNTS.items()
+})
+
 # Set literals whose members do not parse; the error must quote the literal.
 BAD_SET_LITERALS = {
     "non-integer-member": ("Z8", "{x,0}"),
@@ -197,6 +214,22 @@ def test_bad_set_member_error_names_the_literal(tmp_path, capsys, case):
     code, _, err = run_cli(capsys, *BAD_INPUTS[case](tmp_path), "--out", str(tmp_path / "out"))
     assert code == cli.EXIT_INPUT_ERROR
     assert repr(literal) in err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRID_COUNTS))
+def test_bad_grid_count_error_names_the_flag_and_literal(tmp_path, capsys, case):
+    _, flag, _, quoted = BAD_GRID_COUNTS[case]
+    code, _, err = run_cli(capsys, *BAD_INPUTS[case](tmp_path), "--out", str(tmp_path / "out"))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert err == f"error: {flag} {quoted} is not a decimal grid count\n"
+
+
+def test_classes_grid_is_a_decimal_count(capsys):
+    argv = ["classes", "--torus", "8", "--omega-plus", "[-1,1]", "--grid"]
+    code, stdout, err = run_cli(capsys, *argv, "1_28")
+    assert (code, stdout) == (cli.EXIT_INPUT_ERROR, "")
+    assert err == "error: --grid '1_28' is not a decimal grid count\n"
+    assert run_cli(capsys, *argv, "16")[0] == cli.EXIT_OK
 
 
 def test_torus_problem_file_matches_flags(tmp_path, capsys):

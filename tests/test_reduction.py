@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _generators import direct_convolution, direct_transform, fraction_dual
+from delsarte import reduction
 from delsarte.classes import ClassSpec, SymmetricSet, in_class
-from delsarte.groups import FiniteAbelianGroup
+from delsarte.groups import FiniteAbelianGroup, Subgroup
 from delsarte.harmonic import (
     GroupFunction,
     autocorrelation,
@@ -18,6 +19,7 @@ from delsarte.harmonic import (
     is_positive_definite,
 )
 from delsarte.reduction import (
+    SIGNATURE_BLOCK,
     SubgroupEmbedding,
     SubgroupView,
     reduce_and_compare,
@@ -242,6 +244,65 @@ def test_subgroup_dual_matches_fraction_signatures(subgroup):
             Fraction(view.phase_index(g, k), view.phase_modulus) for g in range(view.size)
         ) == signature
         assert view.char_neg_index(k) == negation[k]
+
+
+def scalar_dual(parent, members):
+    """A view's dual from one ``phase_index`` call per member per parent
+    character: the restricted signatures in order of first appearance,
+    and the position of each one's negation."""
+    seen = {}
+    for chi in range(parent.size):
+        seen.setdefault(tuple(parent.phase_index(g, chi) for g in members), chi)
+        if len(seen) == len(members):
+            break
+    position = {signature: k for k, signature in enumerate(seen)}
+    modulus = parent.phase_modulus
+    return tuple(seen.values()), tuple(
+        position[tuple(-p % modulus for p in signature)] for signature in seen
+    )
+
+
+def nested_subgroup(view, generators):
+    """The subgroup of a view generated by some of its indices."""
+    members, frontier = {0}, [0]
+    while frontier:
+        g = frontier.pop()
+        for h in generators:
+            s = view.add_index(g, h)
+            if s not in members:
+                members.add(s)
+                frontier.append(s)
+    return Subgroup(view, tuple(sorted(members)), tuple(generators))
+
+
+@pytest.mark.parametrize(
+    "orders, generators, inner",
+    [
+        ((12,), (3,), None),
+        ((1024,), (2,), None),
+        ((4, 128), (128,), None),  # restrictions first differ at 128, 256, 384
+        ((6, 6), (8,), None),
+        ((2, 4, 6), (9, 30), None),
+        ((4, 128), (1, 128), (2,)),
+        ((8, 6), (7,), (9, 21)),
+        ((24,), (2,), (3,)),
+    ],
+)
+@pytest.mark.parametrize("block", [SIGNATURE_BLOCK, 5])
+def test_view_dual_matches_scalar_enumeration(orders, generators, inner, block, monkeypatch):
+    # Cyclic groups, product groups and views of views: the blocked phase
+    # matrix finds the same characters in the same order, and the same
+    # negation, as one scalar phase per member and character, whatever
+    # the block size.
+    monkeypatch.setattr(reduction, "SIGNATURE_BLOCK", block)
+    group = FiniteAbelianGroup(orders)
+    subgroup = group.subgroup_generated(generators)
+    if inner is not None:
+        subgroup = nested_subgroup(SubgroupView(subgroup), inner)
+    view = SubgroupView(subgroup)
+    characters, negation = scalar_dual(subgroup.group, subgroup.members)
+    assert view.parent_characters == characters
+    assert tuple(map(view.char_neg_index, range(view.size))) == negation
 
 
 @settings(max_examples=100, deadline=None)

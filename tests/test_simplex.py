@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _generators import reference_bland
 from delsarte.classes import SymmetricSet
 from delsarte.discretize import TorusSpec, sample_set
 from delsarte.groups import FiniteAbelianGroup
@@ -20,6 +21,7 @@ from delsarte.solver import (
     DualCertificate,
     LinearProgram,
     ProblemSpec,
+    RawOptimum,
     SimplexError,
     Solution,
     SolveStats,
@@ -259,6 +261,64 @@ def test_optimum_at_every_upper_bound_takes_no_pivot():
     assert certificate_verdict(lp, raw, 1e-12).ok
 
 
+# max 2x + y  s.t.  x + y <= 2,  -x >= -3/2,  x, y in [0, 3]: the optimum
+# (3/2, 1/2) of value 7/2 with row multipliers (1, -1) and bound
+# multipliers 0, and one change per kind of violation.
+CERTIFICATE_CASES = [
+    ("le-row", {"x": (1.5, 0.75)},
+     ("row[0]: primal row violated by 0.25",
+      "row[0]: complementary slackness (y=1.0, slack=-0.25)")),
+    ("ge-row", {"x": (1.75, 0.25)},
+     ("row[1]: primal row violated by 0.25",
+      "row[1]: complementary slackness (y=-1.0, slack=0.25)")),
+    ("le-sign", {"row_duals": (-1.0, -1.0)},
+     ("row[0]: multiplier sign (-1.0)", "variable[0]: dual stationarity residual 2.0",
+      "variable[1]: dual stationarity residual 2.0", "duality gap 4.0")),
+    ("ge-sign", {"row_duals": (1.0, 1.0)},
+     ("row[1]: multiplier sign (1.0)", "variable[0]: dual stationarity residual 2.0",
+      "duality gap 3.0")),
+    ("row-slackness", {"x": (1.5, 0.25)},
+     ("row[0]: complementary slackness (y=1.0, slack=0.25)",)),
+    ("below-lower", {"x": (1.5, -0.25)},
+     ("row[0]: complementary slackness (y=1.0, slack=0.75)",
+      "variable[1]: below lower bound")),
+    ("above-upper", {"x": (3.25, 0.5)},
+     ("row[0]: primal row violated by 1.75",
+      "row[0]: complementary slackness (y=1.0, slack=-1.75)",
+      "row[1]: primal row violated by 1.75",
+      "row[1]: complementary slackness (y=-1.0, slack=1.75)",
+      "variable[0]: above upper bound")),
+    ("lower-sign", {"lower_duals": (-1.0, 0.0)},
+     ("variable[0]: lower multiplier sign (-1.0)",
+      "variable[0]: lower-bound complementary slackness",
+      "variable[0]: dual stationarity residual -1.0")),
+    ("upper-sign", {"upper_duals": (0.0, -1.0)},
+     ("variable[1]: upper multiplier sign (-1.0)",
+      "variable[1]: upper-bound complementary slackness",
+      "variable[1]: dual stationarity residual 1.0", "duality gap 3.0")),
+    ("lower-slackness", {"lower_duals": (0.0, 1.0)},
+     ("variable[1]: lower-bound complementary slackness",
+      "variable[1]: dual stationarity residual 1.0")),
+    ("upper-slackness", {"upper_duals": (1.0, 0.0)},
+     ("variable[0]: upper-bound complementary slackness",
+      "variable[0]: dual stationarity residual -1.0", "duality gap -3.0")),
+    ("stationarity", {"row_duals": (1.0, -0.5)},
+     ("variable[0]: dual stationarity residual 0.5", "duality gap 0.75")),
+    ("gap", {"objective": 3.0}, ("duality gap -0.5",)),
+]
+
+
+@pytest.mark.parametrize("change, expected", [case[1:] for case in CERTIFICATE_CASES],
+                         ids=[case[0] for case in CERTIFICATE_CASES])
+def test_float_certificate_violations_are_reported_in_order(change, expected):
+    lp = make_lp([(0, 3), (0, 3)], [({0: 1, 1: 1}, "<=", 2), ({0: -1}, ">=", -1.5)], [2, 1])
+    raw = RawOptimum(x=(1.5, 0.5), objective=3.5, row_duals=(1.0, -1.0),
+                     lower_duals=(0.0, 0.0), upper_duals=(0.0, 0.0),
+                     iterations=0, phase1_iterations=0)
+    assert certificate_verdict(lp, raw, 1e-9).violations == ()
+    assert certificate_verdict(lp, replace(raw, **change), 1e-9).violations == expected
+
+
 @pytest.mark.parametrize("sense", ["=<", "<", "=="])
 def test_unknown_row_sense_is_rejected(sense):
     # max -x - y s.t. x + y (sense) 4 on [0, 5]^2: an unknown sense used to
@@ -372,10 +432,11 @@ def ref_price_dantzig(rc, allowed, eps):
     return enter
 
 
-def ref_price_bland(rc, allowed, eps):
-    for j in range(len(rc)):
-        if allowed[j] and rc[j] < -eps:
-            return j
+def ref_price_bland(rc, labels, allowed):
+    # Scan the columns in variable order; the first that prices out enters.
+    for q in sorted(range(len(rc)), key=lambda q: labels[q]):
+        if allowed[labels[q]] and rc[q] < 0:
+            return q
     return -1
 
 
@@ -459,17 +520,23 @@ def priced_row(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(priced_row())
-def test_pricing_rules_match_loops(data):
+@given(priced_row(), st.data())
+def test_pricing_rules_match_loops(data, draw):
     rc, _, allowed = data
     for eps in (1e-9, 0.0):
         assert price_dantzig(rc, allowed, eps) == ref_price_dantzig(rc, allowed, eps)
-        assert price_bland(rc, allowed, eps) == ref_price_bland(rc, allowed, eps)
-    # The exact path prices integer numerators over a positive denominator.
+    # Bland's rule prices the exact path's condensed columns: integer
+    # numerators over a positive denominator, each slot labelled by its
+    # variable, with ``allowed`` indexed by label.
+    labels = draw.draw(st.permutations(range(3 * rc.size)))[: rc.size]
+    by_label = draw.draw(st.lists(st.booleans(), min_size=3 * rc.size,
+                                  max_size=3 * rc.size))
     exact = [Fraction(v) for v in rc]
     den = math.lcm(*(v.denominator for v in exact))
-    numerators = np.array([int(v * den) for v in exact], dtype=object)
-    assert price_bland(numerators, allowed, 0) == ref_price_bland(exact, allowed, 0)
+    numerators = [int(v * den) for v in exact]
+    expected = ref_price_bland(exact, labels, by_label)
+    assert price_bland(numerators, labels, by_label) == expected
+    assert price_bland(exact, labels, by_label) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -511,23 +578,20 @@ def test_bounded_ratio_test_matches_loop(data, draw):
 @given(column_with_rhs(), st.lists(st.integers(1, 3), min_size=16, max_size=16))
 def test_exact_bland_rule_matches_loop(data, scales):
     col, rhs, basis = data
-    lift = np.vectorize(Fraction, otypes=[object])
-    col, rhs = lift(col), lift(rhs)
+    col, rhs, basis = [Fraction(v) for v in col], [Fraction(v) for v in rhs], basis.tolist()
     expected = ref_leave_bland(col, rhs, basis, (Fraction(0),))
     assert leave_bland(col, rhs, basis) == expected
     # The same rows as the exact path holds them: integer numerators over
     # positive row denominators, which the ratios must cancel.
     dens = [k * math.lcm(a.denominator, b.denominator) for k, a, b in zip(scales, col, rhs)]
-    num_col = np.array([int(a * d) for a, d in zip(col, dens)], dtype=object)
-    num_rhs = np.array([int(b * d) for b, d in zip(rhs, dens)], dtype=object)
+    num_col = [int(a * d) for a, d in zip(col, dens)]
+    num_rhs = [int(b * d) for b, d in zip(rhs, dens)]
     assert leave_bland(num_col, num_rhs, basis) == expected
 
 
 def test_exact_bland_ratios_are_not_rounded():
     # 2**53 + 1 and 2**53 are the same float64; the smaller ratio must win.
-    col = np.array([1, 1], dtype=object)
-    rhs = np.array([2**53 + 1, 2**53], dtype=object)
-    assert leave_bland(col, rhs, np.array([0, 1], dtype=np.intp)) == 1
+    assert leave_bland([1, 1], [2**53 + 1, 2**53], [0, 1]) == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -663,3 +727,39 @@ def test_exact_path_is_pinned(build, value, counts, rows, duals, upper):
     nv = sol.lp.num_vars
     assert cert.upper_bounds == tuple(Fraction(upper.get(j, 0)) for j in range(nv))
     assert cert.lower_bounds == (Fraction(0),) * nv
+
+
+@st.composite
+def small_exact_program(draw):
+    """An exact program with rows through a point of its box, so it is
+    feasible: <=, >= and = rows, right sides of either sign after the
+    shift by the lower bounds, and many rows tight at that point, which
+    gives exact ratio ties."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    halves = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
+    bounds = []
+    for _ in range(n):
+        lo = draw(halves)
+        bounds.append((lo, lo + draw(st.sampled_from([0, 1, 2, Fraction(1, 2), 3]))))
+    point = [draw(st.sampled_from([lo, hi, (lo + hi) / 2])) for lo, hi in bounds]
+    rows = []
+    for _ in range(m):
+        coeffs = {j: draw(st.integers(-2, 2)) for j in range(n)}
+        sense = draw(st.sampled_from(["<=", ">=", "="]))
+        activity = sum(a * x for a, x in zip(coeffs.values(), point))
+        slack = 0 if sense == "=" else draw(st.sampled_from([0, 0, 1, Fraction(1, 2)]))
+        rows.append((coeffs, sense, activity + slack if sense == "<=" else activity - slack))
+    objective = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return make_lp(bounds, rows, objective, EXACT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_exact_program())
+def test_exact_simplex_matches_textbook_bland(lp):
+    raw = simplex_solve(lp)
+    ref = reference_bland(lp)
+    assert (raw.iterations, raw.phase1_iterations) == (
+        ref["iterations"], ref["phase1_iterations"])
+    assert raw.x == ref["x"]
+    assert raw.row_duals == ref["row_duals"]
+    assert (raw.lower_duals, raw.upper_duals) == (ref["lower_duals"], ref["upper_duals"])
