@@ -10,8 +10,9 @@ are deterministic JSON/CSV.
 
 Exit codes: 0 for a solved problem with a verified dual certificate (or
 a completed check), 2 when the admissible class is empty, 1 for
-malformed input, 3 when the solver fails, 4 when a solve or a sweep row
-ends optimal but its certificate fails verification.
+malformed input, 3 when the solver fails, 4 when a solve, a sweep row or
+one of the solves of a reduction ends optimal but its certificate fails
+verification.
 """
 
 from __future__ import annotations
@@ -376,7 +377,17 @@ def _cmd_reduce(args) -> int:
     report = reduce_and_compare(_group_spec(_problem(args)))
     for line in report.lines():
         print(line)
-    return EXIT_OK
+    uncertified, listed = [], []
+    for where, sol in (("G", report.plus_generated.solution_group),
+                       ("H=<plus>", report.plus_generated.solution_subgroup),
+                       ("H=<both>", report.both_generated.solution_subgroup)):
+        if any(sol is seen for seen in listed):
+            continue  # the solution of an earlier solve, shared
+        listed.append(sol)
+        verdict = sol.certificate_verdict
+        if verdict is not None and not verdict.ok:
+            uncertified += [f"{where}: {v}" for v in verdict.violations]
+    return _uncertified_exit(uncertified)
 
 
 @functools.cache

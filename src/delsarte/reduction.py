@@ -5,7 +5,8 @@ A subgroup inherits the parent's Haar weight (the restricted measure), its
 addition, and its characters: every character of the subgroup arises by
 restricting a parent character, so the subgroup's dual is enumerated by
 deduplicating restricted phase signatures (vectors of integer phases p
-over the parent's modulus L, the lcm of its orders).  A view keeps, for
+over the parent's modulus L, the lcm of its orders, on the subgroup's
+generators, which fix the whole restriction).  A view keeps, for
 each of its characters, the parent character that first restricted to it
 (``parent_characters``), and reads every phase, phase matrix and cosine
 table from the parent; its transforms are the parent's FFT of the
@@ -13,6 +14,12 @@ trivial extension.  So every pairing phase, and every cosine lifted from
 it, is literally shared between the two problems, which is what makes the
 reduction equality exact in rational arithmetic; the certificates of both
 solves pass a zero-tolerance check, which compares exact numbers.
+
+``reduce_and_compare`` solves the problem on G, on H = <omega_plus> and on
+H = <omega_plus u omega_minus>, each distinct problem once: a subgroup
+equal to G reuses G's solution, and the second subgroup is the first
+whenever the minus set lies in <omega_plus> (Turan mode always, Delsarte
+mode whenever <omega_plus> = G).
 """
 
 from __future__ import annotations
@@ -30,18 +37,18 @@ from .solver import ProblemSpec, Solution, solve
 
 
 # Parent characters per phase matrix while a view's dual is enumerated; the
-# matrix holds |H| times this many integers.
+# matrix holds this many integers per subgroup generator.
 SIGNATURE_BLOCK = 256
 
 
-def _signatures(parent, members: Sequence[int], characters: Sequence[int],
+def _signatures(parent, points: Sequence[int], characters: Sequence[int],
                 negate: bool = False):
     """(character, signature) pairs: the phases of each parent character on
-    ``members`` (negated mod L if ``negate``) as the bytes of one int64
+    ``points`` (negated mod L if ``negate``) as the bytes of one int64
     vector, from the phase matrix of a block of characters at a time."""
     for start in range(0, len(characters), SIGNATURE_BLOCK):
         block = characters[start:start + SIGNATURE_BLOCK]
-        phases = parent.phases(members, block).T
+        phases = parent.phases(points, block).T
         if negate:
             phases = -phases % parent.phase_modulus
         yield from zip(block, map(np.ndarray.tobytes, np.ascontiguousarray(phases)))
@@ -66,9 +73,14 @@ class SubgroupView:
         self.phase_modulus = parent.phase_modulus
         self._index_in_sub = {g: i for i, g in enumerate(members)}
         # Characters: deduplicated restrictions of the parent's characters in
-        # order of first appearance, until all |H| of them are found.
+        # order of first appearance, until all |H| of them are found.  A
+        # restriction is fixed by its phases on the generators, which
+        # generate the members, so those few phases key it.
+        generators = subgroup.generators
+        if not self._index_in_sub.keys() >= set(generators):
+            raise ValueError("subgroup generators must be members")
         seen: dict[bytes, int] = {}
-        for chi, signature in _signatures(parent, members, range(parent.size)):
+        for chi, signature in _signatures(parent, generators, range(parent.size)):
             seen.setdefault(signature, chi)
             if len(seen) == len(members):
                 break
@@ -78,7 +90,7 @@ class SubgroupView:
         self.parent_characters = tuple(seen.values())
         self._char_neg = tuple(
             position[signature] for _, signature in
-            _signatures(parent, members, self.parent_characters, negate=True)
+            _signatures(parent, generators, self.parent_characters, negate=True)
         )
 
     @property
@@ -251,29 +263,27 @@ class ReductionReport:
 def _compare(
     spec: ProblemSpec,
     sol_g: Solution,
-    generators: frozenset[int],
-    intersect_minus: bool,
+    subgroup: Subgroup,
 ) -> ReductionComparison:
-    group = spec.group
-    subgroup = group.subgroup_generated(generators)
-    view = SubgroupView(subgroup)
-    omega_plus_h = restrict_set(spec.omega_plus, view)
-    omega_minus_h = restrict_set(spec.omega_minus, view)
-    if not intersect_minus and len(omega_minus_h) != len(spec.omega_minus):
-        raise ValueError("subgroup does not contain the minus set")
-    sub_mode = spec.mode
-    if sub_mode == "delsarte" and not omega_minus_h.is_full:
-        sub_mode = "general"  # minus set intersected below the full group
-    if sub_mode == "turan" and omega_plus_h.indices != omega_minus_h.indices:
-        sub_mode = "general"
-    sol_h = solve(
-        ProblemSpec(
-            view, omega_plus_h, omega_minus_h,
-            mode=sub_mode, arithmetic=spec.arithmetic, tolerance=spec.tolerance,
+    if not subgroup.is_proper():
+        sol_h = sol_g  # H = G: the problem on H is the one already solved
+    else:
+        view = SubgroupView(subgroup)
+        omega_plus_h = restrict_set(spec.omega_plus, view)
+        omega_minus_h = restrict_set(spec.omega_minus, view)
+        sub_mode = spec.mode
+        if sub_mode == "delsarte" and not omega_minus_h.is_full:
+            sub_mode = "general"  # minus set intersected below the full group
+        if sub_mode == "turan" and omega_plus_h.indices != omega_minus_h.indices:
+            sub_mode = "general"
+        sol_h = solve(
+            ProblemSpec(
+                view, omega_plus_h, omega_minus_h,
+                mode=sub_mode, arithmetic=spec.arithmetic, tolerance=spec.tolerance,
+            )
         )
-    )
     return ReductionComparison(
-        subgroup_order=view.size,
+        subgroup_order=subgroup.order,
         value_group=sol_g.value,
         value_subgroup=sol_h.value,
         difference=sol_g.value - sol_h.value,
@@ -286,14 +296,29 @@ def _compare(
 
 def reduce_and_compare(spec: ProblemSpec) -> ReductionReport:
     """Solve on the group and on the generated subgroups, reporting both
-    reduction identities."""
+    reduction identities.
+
+    Each distinct problem is solved once.  When a generated subgroup is
+    the whole group, its comparison reuses the group's ``Solution``
+    (``solution_subgroup.spec.group`` is then the group itself, not a
+    view) and ``difference`` is 0.  When the minus set lies in
+    <omega_plus> the two subgroups are equal and ``both_generated`` is
+    ``plus_generated``.  So Turan and Delsarte reductions make two solves,
+    or one when the plus set generates the group; only general mode, with
+    <omega_plus u omega_minus> larger than <omega_plus> and proper, makes
+    three.
+    """
     if 0 not in spec.omega_plus:
         raise ValueError("reduction requires the identity in the plus set")
+    group = spec.group
     sol_g = solve(spec)
-    plus = _compare(spec, sol_g, spec.omega_plus.indices, intersect_minus=True)
-    both = _compare(
-        spec, sol_g,
-        spec.omega_plus.indices | spec.omega_minus.indices,
-        intersect_minus=False,
-    )
+    plus_subgroup = group.subgroup_generated(spec.omega_plus.indices)
+    plus = _compare(spec, sol_g, plus_subgroup)
+    if spec.omega_minus.indices <= set(plus_subgroup.members):
+        both = plus
+    else:
+        both_subgroup = group.subgroup_generated(
+            spec.omega_plus.indices | spec.omega_minus.indices
+        )
+        both = _compare(spec, sol_g, both_subgroup)
     return ReductionReport(spec=spec, plus_generated=plus, both_generated=both)

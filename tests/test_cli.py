@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delsarte import cli
+from delsarte import cli, reduction
 from delsarte.cli import emit_figure_data, main, parse_discrete_set
 from delsarte.groups import FiniteAbelianGroup
 from delsarte.harmonic import fejer_kernel
@@ -428,6 +428,40 @@ def test_reduce_compare_reports_values(capsys):
     )
     assert code == 0
     assert "value_G=2" in stdout and "value_H=2" in stdout and "diff=0" in stdout
+
+
+@pytest.mark.parametrize(
+    "argv, solves",
+    [
+        (["--group", "Z4xZ3", "--omega-plus", "{(0,0),(1,0),(3,0)}"], ["G", "H=<plus>"]),
+        (["--group", "Z4xZ3", "--omega-plus", "{(0,0),(1,0),(3,0)}", "--mode", "delsarte"],
+         ["G", "H=<plus>"]),
+        (["--group", "Z12", "--omega-plus", "{-1,0,1}"], ["G"]),
+        (["--group", "Z12", "--omega-plus", "{-4,0,4}", "--mode", "general",
+          "--omega-minus", "{6}"], ["G", "H=<plus>", "H=<both>"]),
+    ],
+    ids=["turan", "delsarte", "plus-generates-g", "general"],
+)
+def test_reduce_uncertified_exits_four(capsys, monkeypatch, argv, solves):
+    # One violation per solve; a solution that two comparisons share is
+    # listed once, under the first solve that made it.
+    real_solve = reduction.solve
+    made = []
+
+    def uncertified(spec, formulation="auto"):
+        sol = real_solve(spec, formulation)
+        violations = (f"spectral[{len(made)}]: primal row violated by 0.001",)
+        made.append(spec)
+        return replace(sol, certificate_verdict=CertificateVerdict(False, violations))
+
+    monkeypatch.setattr(reduction, "solve", uncertified)
+    code, stdout, err = run_cli(capsys, "reduce", *argv)
+    assert code == cli.EXIT_UNCERTIFIED == 4
+    assert len(stdout.splitlines()) == 2
+    assert err == "".join(
+        f"uncertified: {where}: spectral[{k}]: primal row violated by 0.001\n"
+        for k, where in enumerate(solves)
+    )
 
 
 def test_parse_discrete_set_tuples_and_full():

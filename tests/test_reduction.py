@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -184,6 +185,81 @@ def test_reduction_equality_randomized_exact():
     assert done == 25
 
 
+Z12 = FiniteAbelianGroup((12,))
+
+
+@pytest.mark.parametrize(
+    "spec, solves",
+    [
+        (ProblemSpec.turan(G43, SymmetricSet.from_signed(G43, [(0, 0), (1, 0), (3, 0)])), 2),
+        (ProblemSpec.delsarte(G43, SymmetricSet.from_signed(G43, [(0, 0), (1, 0), (3, 0)])), 2),
+        (ProblemSpec.turan(Z12, SymmetricSet.from_signed(Z12, [-1, 0, 1])), 1),
+        (ProblemSpec.delsarte(Z12, SymmetricSet.from_signed(Z12, [-1, 0, 1])), 1),
+        (ProblemSpec.general(Z12, SymmetricSet.from_signed(Z12, [-4, 0, 4]),
+                             SymmetricSet.from_signed(Z12, [6])), 3),
+    ],
+    ids=["turan", "delsarte", "turan-plus-generates-g", "delsarte-plus-generates-g",
+         "general-larger-both"],
+)
+def test_reduce_solves_each_distinct_problem_once(spec, solves, monkeypatch):
+    made = []
+
+    def counting(sub_spec, *args):
+        made.append(sub_spec)
+        return solve(sub_spec, *args)
+
+    monkeypatch.setattr(reduction, "solve", counting)
+    report = reduce_and_compare(spec)
+    assert len(made) == solves
+    for comp in (report.plus_generated, report.both_generated):
+        if comp.subgroup_order == spec.group.size:
+            # H = G takes G's own solution, not a solve on a view of G.
+            assert comp.solution_subgroup is comp.solution_group
+            assert comp.difference == 0
+    if spec.mode == "turan":
+        assert report.both_generated is report.plus_generated
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["turan", "delsarte", "general"]))
+def test_full_group_view_solves_like_the_group(seed, mode):
+    # A view of G itself goes through restriction, the view's dual and the
+    # parent's tables, and must give G's exact value with certificates
+    # that hold exactly.
+    rng = random.Random(seed)
+    group = nice_random_group(rng)
+    plus = SymmetricSet.from_indices(group, random_symmetric_indices(group, rng, 0.5, {0}))
+    minus = {
+        "turan": plus,
+        "delsarte": SymmetricSet.full(group),
+        "general": SymmetricSet.from_indices(group, random_symmetric_indices(group, rng, 0.4)),
+    }[mode]
+    spec = ProblemSpec(group, plus, minus, mode=mode, arithmetic=EXACT)
+    view = SubgroupView(group.subgroup_generated(range(group.size)))
+    view_spec = ProblemSpec(
+        view, restrict_set(plus, view), restrict_set(minus, view), mode=mode, arithmetic=EXACT,
+    )
+    sol_g, sol_view = solve(spec), solve(view_spec)
+    assert sol_view.value_exact == sol_g.value_exact
+    for sol in (sol_g, sol_view):
+        assert verify_certificate(sol, tol=0).ok
+
+
+def test_view_dual_memory_is_linear_in_the_order():
+    # The order-2048 view of Z4096 keys its dual by phases on its one
+    # generator, not on its 2048 members.
+    group = FiniteAbelianGroup((4096,))
+    subgroup = group.subgroup_generated([2])
+    tracemalloc.start()
+    try:
+        view = SubgroupView(subgroup)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert view.size == 2048
+    assert peak < 2 * 2**20
+
+
 Z10 = FiniteAbelianGroup((10,))
 Z3Z5 = FiniteAbelianGroup((3, 5))
 Z2Z5 = FiniteAbelianGroup((2, 5))
@@ -303,6 +379,16 @@ def test_view_dual_matches_scalar_enumeration(orders, generators, inner, block, 
     characters, negation = scalar_dual(subgroup.group, subgroup.members)
     assert view.parent_characters == characters
     assert tuple(map(view.char_neg_index, range(view.size))) == negation
+
+
+def test_view_rejects_generators_that_do_not_generate_the_members():
+    # The dual is keyed by phases on the generators, so they must be
+    # members and generate all of them.
+    members = Z12.subgroup_generated([2]).members
+    with pytest.raises(ValueError, match="generators must be members"):
+        SubgroupView(Subgroup(Z12, members, (1,)))
+    with pytest.raises(ValueError, match="full dual"):
+        SubgroupView(Subgroup(Z12, members, (4,)))
 
 
 @settings(max_examples=100, deadline=None)
