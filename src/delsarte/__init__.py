@@ -14,7 +14,6 @@ from .classes import (
 from .discretize import DiscreteProblemSet, TorusSpec, sample_set
 from .groups import (
     FiniteAbelianGroup,
-    GroupElement,
     ScalingMap,
     Subgroup,
     parse_group,
@@ -45,7 +44,6 @@ from .realsets import (
 )
 from .reduction import (
     ReductionReport,
-    SubgroupEmbedding,
     SubgroupView,
     reduce_and_compare,
     restrict,

@@ -67,10 +67,6 @@ class InputError(ValueError):
     pass
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
@@ -139,7 +135,7 @@ def _write_json(path: Path, payload: dict) -> None:
         if isinstance(value, float):
             return float(fmt_sig(value))
         if isinstance(value, Fraction):
-            return _fraction_str(value)
+            return str(value)
         if isinstance(value, dict):
             return {k: clean(v) for k, v in value.items()}
         if isinstance(value, (list, tuple)):
@@ -345,9 +341,9 @@ def _cmd_check_set(args) -> int:
     if verdict.ok:
         print("boundary_coherent: true")
     else:
-        print(f"boundary_coherent: false, witness: {_fraction_str(verdict.witness)}")
+        print(f"boundary_coherent: false, witness: {verdict.witness}")
     points = boundary(s)
-    print("boundary: {" + ",".join(_fraction_str(p) for p in points) + "}")
+    print("boundary: {" + ",".join(map(str, points)) + "}")
     if symmetric and s.is_bounded:
         star = is_strictly_star_shaped(s)
         print(f"strictly_star_shaped: {str(star).lower()}")

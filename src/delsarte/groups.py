@@ -128,15 +128,6 @@ class FiniteAbelianGroup:
             c - n if 2 * c > n else c for c, n in zip(self.coords_of(index), self.orders)
         )
 
-    def element(self, coords: Sequence[int] | int) -> "GroupElement":
-        if isinstance(coords, int):
-            return GroupElement(self, self.coords_of(coords))
-        return GroupElement(self, tuple(int(c) % n for c, n in zip(coords, self.orders)))
-
-    @property
-    def zero(self) -> "GroupElement":
-        return GroupElement(self, (0,) * len(self.orders))
-
     def add_index(self, i: int, j: int) -> int:
         out = 0
         for n, s in zip(self.orders, self._strides):
@@ -151,16 +142,6 @@ class FiniteAbelianGroup:
 
     def neg_index(self, i: int) -> int:
         return self._neg[i]
-
-    def add(self, a: "GroupElement", b: "GroupElement") -> "GroupElement":
-        if a.group != self or b.group != self:
-            raise ValueError("elements belong to a different group")
-        return self.element(self.add_index(a.index, b.index))
-
-    def negate(self, g: "GroupElement") -> "GroupElement":
-        if g.group != self:
-            raise ValueError("element belongs to a different group")
-        return self.element(self.neg_index(g.index))
 
     def phase_index(self, g_index: int, chi_index: int) -> int:
         """Phase of chi(g) in units of 1/L turns, an integer in [0, L)."""
@@ -216,11 +197,9 @@ class FiniteAbelianGroup:
             return str(signed[0])
         return "(" + ",".join(str(c) for c in signed) + ")"
 
-    def subgroup_generated(self, generators: Iterable["GroupElement" | int]) -> "Subgroup":
-        """Smallest subgroup containing the generators (breadth-first closure)."""
-        gen_indices = sorted(
-            {g.index if isinstance(g, GroupElement) else int(g) for g in generators}
-        )
+    def subgroup_generated(self, generators: Iterable[int]) -> "Subgroup":
+        """Smallest subgroup containing the generator indices (breadth-first closure)."""
+        gen_indices = sorted({int(g) for g in generators})
         seeds = set(gen_indices)
         for s in list(seeds):
             seeds.add(self.neg_index(s))
@@ -256,35 +235,6 @@ class FiniteAbelianGroup:
         if self.weight != 1:
             name += f",weight={self.weight}"
         return name
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Element of a finite abelian group, stored as canonical residues."""
-
-    group: FiniteAbelianGroup
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for c, n in zip(self.coords, self.group.orders):
-            if not 0 <= c < n:
-                raise ValueError(f"coordinate {c} is not a canonical residue mod {n}")
-
-    @property
-    def index(self) -> int:
-        return self.group.index_of(self.coords)
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        return self.group.add(self, other)
-
-    def __neg__(self) -> "GroupElement":
-        return self.group.negate(self)
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self.group.add(self, self.group.negate(other))
-
-    def __str__(self) -> str:
-        return self.group.label(self.index)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import FiniteAbelianGroup, GroupElement
+from .groups import FiniteAbelianGroup
 
 
 def fmt_sig(x: float, digits: int = 12) -> str:
@@ -64,8 +64,7 @@ class GroupFunction:
             values[int(i)] = 1.0
         return GroupFunction(group, values)
 
-    def __call__(self, g: GroupElement | int) -> float:
-        index = g.index if isinstance(g, GroupElement) else int(g)
+    def __call__(self, index: int) -> float:
         return float(self.values[index])
 
     def integral(self) -> float:
@@ -190,9 +189,9 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     return GroupFunction(f.group, out * float(f.group.weight))
 
 
-def autocorrelation(group, subset: Iterable[GroupElement | int]) -> GroupFunction:
+def autocorrelation(group, subset: Iterable[int]) -> GroupFunction:
     """(1_A * 1_{-A}) / (h|A|); positive definite with support in A - A."""
-    indices = [a.index if isinstance(a, GroupElement) else int(a) for a in subset]
+    indices = [int(a) for a in subset]
     if not indices:
         raise ValueError("autocorrelation of an empty subset")
     ind = GroupFunction.indicator(group, indices)

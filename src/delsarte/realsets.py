@@ -246,13 +246,10 @@ class RealSet1D:
         if not self.intervals:
             return "{}"
 
-        def fmt(x: Fraction) -> str:
-            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
         parts = []
         for p in self.intervals:
-            left = "-inf" if p.left is None else fmt(p.left)
-            right = "inf" if p.right is None else fmt(p.right)
+            left = "-inf" if p.left is None else str(p.left)
+            right = "inf" if p.right is None else str(p.right)
             parts.append(
                 ("[" if p.left_closed else "(")
                 + left

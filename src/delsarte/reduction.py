@@ -24,14 +24,14 @@ mode whenever <omega_plus> = G).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .classes import SymmetricSet
-from .groups import FiniteAbelianGroup, Subgroup
+from .groups import Subgroup
 from .harmonic import GroupFunction
 from .solver import ProblemSpec, Solution, solve
 
@@ -161,50 +161,22 @@ class SubgroupView:
         return f"SubgroupView(order={self.size} in {self.parent})"
 
 
-@dataclass(frozen=True)
-class SubgroupEmbedding:
-    """Index maps between a subgroup view and its parent, plus the coset
-    representatives that partition the parent."""
-
-    parent: FiniteAbelianGroup
-    view: SubgroupView
-    coset_representatives: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        seen = set()
-        reps = []
-        member_set = set(self.view.members)
-        for g in range(self.parent.size):
-            if g in seen:
-                continue
-            reps.append(g)
-            for m in member_set:
-                seen.add(self.parent.add_index(g, m))
-        object.__setattr__(self, "coset_representatives", tuple(reps))
-
-    @staticmethod
-    def of(subgroup: Subgroup) -> "SubgroupEmbedding":
-        return SubgroupEmbedding(subgroup.group, SubgroupView(subgroup))
-
-
-def trivial_extension(f: GroupFunction, embedding: SubgroupEmbedding) -> GroupFunction:
+def trivial_extension(f: GroupFunction, view: SubgroupView) -> GroupFunction:
     """Extend by zero off the subgroup; preserves f(0), the integral, and
     positive definiteness (the extension's spectrum averages the subgroup
     spectrum over each restriction fibre)."""
-    view = embedding.view
     if f.group != view:
-        raise ValueError("function is not defined on the embedded subgroup")
-    values = [0.0] * embedding.parent.size
+        raise ValueError("function is not defined on the subgroup view")
+    values = [0.0] * view.parent.size
     for i, g in enumerate(view.members):
         values[g] = float(f.values[i])
-    return GroupFunction(embedding.parent, values)
+    return GroupFunction(view.parent, values)
 
 
-def restrict(f: GroupFunction, embedding: SubgroupEmbedding) -> GroupFunction:
+def restrict(f: GroupFunction, view: SubgroupView) -> GroupFunction:
     """Restrict to the subgroup; preserves positive definiteness and f(0)."""
-    if f.group != embedding.parent:
+    if f.group != view.parent:
         raise ValueError("function is not defined on the parent group")
-    view = embedding.view
     return GroupFunction(view, [float(f.values[g]) for g in view.members])
 
 

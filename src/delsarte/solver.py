@@ -255,6 +255,29 @@ def build_primal(spec: ProblemSpec) -> LinearProgram:
     )
 
 
+def _fourier_rows(spec: ProblemSpec) -> tuple[list[int], list[tuple]]:
+    """Element orbit representatives of the Fourier form, and its rows as
+    (position in the representatives, label, sense).
+
+    Element rows of the orbit matrix are |G| f(g) in the spectrum
+    variables: element 0 gives the normalization row, and each orbit
+    outside Ω₊ or Ω₋ a sign row for each side it lies outside.
+    """
+    group = spec.group
+    plus, minus = spec.omega_plus.indices, spec.omega_minus.indices
+    reps = [0] + [
+        g for g in _orbits(group.size, group.neg_index)[0]
+        if g != 0 and not (g in plus and g in minus)
+    ]
+    rows = [(0, ("normalization",), "=")]
+    for i, g in enumerate(reps[1:], 1):
+        if g not in plus:
+            rows.append((i, ("sign_plus", g), "<="))
+        if g not in minus:
+            rows.append((i, ("sign_minus", g), ">="))
+    return reps, rows
+
+
 def build_fourier_form(spec: ProblemSpec) -> LinearProgram:
     """Independent reformulation in spectrum values on character orbits.
 
@@ -270,25 +293,12 @@ def build_fourier_form(spec: ProblemSpec) -> LinearProgram:
     one = Fraction(1) if exact else 1.0
     zero = Fraction(0) if exact else 0.0
     n = group.size
-    plus, minus = spec.omega_plus.indices, spec.omega_minus.indices
 
     chi_reps, chi_size = _orbits(group.size, group.char_neg_index)
     big = Fraction(n) if exact else float(n)
     bounds = tuple([(zero, big) for _ in chi_reps])
 
-    # Element rows of the orbit matrix are |G| f(g) in the spectrum
-    # variables: element 0 gives the normalization row, and each orbit
-    # outside Ω₊ or Ω₋ a sign row for each side it lies outside.
-    reps = [0] + [
-        g for g in _orbits(group.size, group.neg_index)[0]
-        if g != 0 and not (g in plus and g in minus)
-    ]
-    rows = [(0, ("normalization",), "=")]
-    for i, g in enumerate(reps[1:], 1):
-        if g not in plus:
-            rows.append((i, ("sign_plus", g), "<="))
-        if g not in minus:
-            rows.append((i, ("sign_minus", g), ">="))
+    reps, rows = _fourier_rows(spec)
     picks, labels, senses = zip(*rows)
     sizes = np.array([chi_size[k] for k in chi_reps], dtype=object if exact else float)
 
@@ -984,19 +994,15 @@ def _auto_formulation(spec: ProblemSpec) -> str:
     float problem, ties going to primal, and primal for an exact problem.
 
     The primal form has one row per character orbit, and the Fourier form
-    1 + (nonzero element orbits outside Ω₊) + (nonzero element orbits
-    outside Ω₋), so the count needs neither LP.  Exact problems stay
-    primal because a group and a subgroup solved in different forms lift
-    different irrational cosines to ``Fraction``, and the reduction
-    identity would then lose exact equality.
+    the rows that ``_fourier_rows`` lists, so the count needs neither LP.
+    Exact problems stay primal because a group and a subgroup solved in
+    different forms lift different irrational cosines to ``Fraction``, and
+    the reduction identity would then lose exact equality.
     """
     if spec.arithmetic == EXACT:
         return "primal"
     group = spec.group
-    plus, minus = spec.omega_plus.indices, spec.omega_minus.indices
-    reps = _orbits(group.size, group.neg_index)[0]
-    fourier_rows = 1 + sum((g not in plus) + (g not in minus) for g in reps if g != 0)
-    if fourier_rows < len(_orbits(group.size, group.char_neg_index)[0]):
+    if len(_fourier_rows(spec)[1]) < len(_orbits(group.size, group.char_neg_index)[0]):
         return "fourier"
     return "primal"
 
@@ -1190,8 +1196,10 @@ def verify_certificate(sol: Solution, tol: float | None = None) -> CertificateVe
     Empty-class solutions pass vacuously.  Any violated condition is
     reported with the offending row or bound label.  Exact programs are
     checked on exact numbers (the tolerance too is taken as the exact
-    value of its float), so ``tol=0`` passes only an exact certificate;
-    floats appear only in the messages.
+    value of its float), so ``tol=0`` passes only an exact certificate
+    with a duality gap of exactly zero; floats appear only in the
+    messages.  Float programs allow a gap of the larger of ``tol`` and the
+    spec's tolerance.
     """
     if sol.status == "class_empty":
         return CertificateVerdict(True, ())
@@ -1253,12 +1261,11 @@ def verify_certificate(sol: Solution, tol: float | None = None) -> CertificateVe
     if exact:
         value = Fraction(sol.value) if sol.value_exact is None else sol.value_exact
         gap = value - lp.objective_scale * dual_obj
+        gap_eps = eps
     else:
         gap = float(sol.value) - float(lp.objective_scale) * float(dual_obj)
-    check(
-        abs(gap) <= max(tol, sol.spec.tolerance) * max(1.0, abs(float(sol.value))),
-        lambda: f"duality gap {float(gap)}",
-    )
+        gap_eps = max(tol, sol.spec.tolerance) * max(1.0, abs(float(sol.value)))
+    check(abs(gap) <= gap_eps, lambda: f"duality gap {float(gap)}")
     return CertificateVerdict(not violations, tuple(violations))
 
 

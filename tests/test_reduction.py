@@ -21,7 +21,6 @@ from delsarte.harmonic import (
 )
 from delsarte.reduction import (
     SIGNATURE_BLOCK,
-    SubgroupEmbedding,
     SubgroupView,
     reduce_and_compare,
     restrict,
@@ -33,13 +32,12 @@ from delsarte.solver import EXACT, ProblemSpec, solve, verify_certificate
 G43 = FiniteAbelianGroup((4, 3))
 
 
-def embedding_of(group, generators):
-    return SubgroupEmbedding.of(group.subgroup_generated(generators))
+def view_of(group, generators):
+    return SubgroupView(group.subgroup_generated(generators))
 
 
 def test_subgroup_view_is_a_group_of_its_own():
-    emb = embedding_of(G43, [G43.element((1, 0))])
-    view = emb.view
+    view = view_of(G43, [G43.index_of((1, 0))])
     assert view.size == 4
     assert view.weight == G43.weight
     # addition and negation close inside the view
@@ -50,48 +48,54 @@ def test_subgroup_view_is_a_group_of_its_own():
     # characters: full dual, exact phases
     for k in range(view.size):
         assert view.phase_index(0, k) == 0
-    assert emb.coset_representatives[0] == 0
-    assert len(emb.coset_representatives) == 3
 
 
 def test_trivial_extension_examples():
-    emb = embedding_of(G43, [G43.element((1, 0))])
-    delta_h = GroupFunction.delta(emb.view)
-    ext = trivial_extension(delta_h, emb)
+    view = view_of(G43, [G43.index_of((1, 0))])
+    delta_h = GroupFunction.delta(view)
+    ext = trivial_extension(delta_h, view)
     assert np.allclose(ext.values, GroupFunction.delta(G43).values)
 
-    tri_h = autocorrelation(emb.view, [0, 1])
-    ext = trivial_extension(tri_h, emb)
+    tri_h = autocorrelation(view, [0, 1])
+    ext = trivial_extension(tri_h, view)
     assert is_positive_definite(ext, 1e-10)
     assert ext(0) == pytest.approx(tri_h(0))
     assert ext.integral() == pytest.approx(tri_h.integral())
 
-    ones_h = GroupFunction.constant(emb.view)
-    ext = trivial_extension(ones_h, emb)
+    ones_h = GroupFunction.constant(view)
+    ext = trivial_extension(ones_h, view)
     assert is_positive_definite(ext, 1e-10)  # indicator of a subgroup
     assert sorted(i for i in range(G43.size) if ext(i) > 0.5) == list(
-        emb.view.members
+        view.members
     )
 
 
 def test_restrict_round_trip_and_membership():
-    emb = embedding_of(G43, [G43.element((1, 0))])
-    tri_h = autocorrelation(emb.view, [0, 1])
-    back = restrict(trivial_extension(tri_h, emb), emb)
+    view = view_of(G43, [G43.index_of((1, 0))])
+    tri_h = autocorrelation(view, [0, 1])
+    back = restrict(trivial_extension(tri_h, view), view)
     assert np.array_equal(back.values, tri_h.values)
 
     ones = GroupFunction.constant(G43)
-    restricted = restrict(ones, emb)
-    omega_h = SymmetricSet.full(emb.view)
+    restricted = restrict(ones, view)
+    omega_h = SymmetricSet.full(view)
     assert in_class(restricted, ClassSpec(omega_h, omega_h)).member
+
+
+def test_restrict_and_extension_reject_functions_on_other_groups():
+    view = view_of(G43, [G43.index_of((1, 0))])
+    with pytest.raises(ValueError, match="parent group"):
+        restrict(GroupFunction.constant(view), view)
+    with pytest.raises(ValueError, match="subgroup view"):
+        trivial_extension(GroupFunction.constant(G43), view)
 
 
 def test_restriction_of_solver_extremal_stays_in_class():
     omega = SymmetricSet.from_signed(G43, [(0, 0), (1, 0), (3, 0)])
     sol = solve(ProblemSpec.turan(G43, omega))
-    emb = embedding_of(G43, [G43.element((1, 0))])
-    restricted = restrict(sol.extremal_function, emb)
-    omega_h = restrict_set(omega, emb.view)
+    view = view_of(G43, [G43.index_of((1, 0))])
+    restricted = restrict(sol.extremal_function, view)
+    omega_h = restrict_set(omega, view)
     verdict = in_class(restricted, ClassSpec(omega_h, omega_h), tol=1e-7)
     assert verdict.member
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -172,11 +173,13 @@ def random_program(rng: random.Random, arithmetic=FLOAT) -> LinearProgram:
 
 def certificate_verdict(lp: LinearProgram, raw, tol: float):
     """verify_certificate on a bare program: the spec only lends its
-    default tolerance to the duality-gap check."""
+    default tolerance to the float duality-gap check, and an exact
+    program's value is the exact objective."""
     group = FiniteAbelianGroup((2,))
     spec = ProblemSpec.turan(group, SymmetricSet.from_indices(group, {0}))
     sol = Solution(
-        spec=spec, status="optimal", value=float(raw.objective), value_exact=None,
+        spec=spec, status="optimal", value=float(raw.objective),
+        value_exact=raw.objective if lp.arithmetic == EXACT else None,
         extremal_function=None, extremal_values_exact=None,
         dual_certificate=DualCertificate(
             rows=tuple(zip(lp.row_labels, raw.row_duals)),
@@ -317,6 +320,25 @@ def test_float_certificate_violations_are_reported_in_order(change, expected):
                      iterations=0, phase1_iterations=0)
     assert certificate_verdict(lp, raw, 1e-9).violations == ()
     assert certificate_verdict(lp, replace(raw, **change), 1e-9).violations == expected
+
+
+@pytest.mark.parametrize("change, expected", [case[1:] for case in CERTIFICATE_CASES],
+                         ids=[case[0] for case in CERTIFICATE_CASES])
+def test_exact_certificate_violations_are_reported_in_order(change, expected):
+    # The same program and changes in Fractions, checked at zero tolerance.
+    # The exact branch prints multipliers as Fractions ("y=1", "(-1)") and
+    # every other number as a float, like the float branch.
+    lp = make_lp([(0, 3), (0, 3)], [({0: 1, 1: 1}, "<=", 2), ({0: -1}, ">=", -1.5)], [2, 1],
+                 arithmetic=EXACT)
+    half = Fraction(1, 2)
+    raw = RawOptimum(x=(3 * half, half), objective=7 * half, row_duals=(Fraction(1), Fraction(-1)),
+                     lower_duals=(Fraction(0),) * 2, upper_duals=(Fraction(0),) * 2,
+                     iterations=0, phase1_iterations=0)
+    assert certificate_verdict(lp, raw, 0.0).violations == ()
+    exact_change = {key: tuple(map(Fraction, v)) if isinstance(v, tuple) else Fraction(v)
+                    for key, v in change.items()}
+    expected = tuple(re.sub(r"(y=|\()(-?\d+)\.0\b", r"\1\2", v) for v in expected)
+    assert certificate_verdict(lp, replace(raw, **exact_change), 0.0).violations == expected
 
 
 @pytest.mark.parametrize("sense", ["=<", "<", "=="])

@@ -172,11 +172,14 @@ def test_certificate_tamper_detection():
     assert any("stationarity" in v or "duality gap" in v for v in verdict.violations)
 
 
-@pytest.mark.parametrize("excess", [Fraction(1, 10**400), Fraction(1, 10**20)],
-                         ids=["1e-400", "1e-20"])
+@pytest.mark.parametrize(
+    "excess", [Fraction(1, 10**400), Fraction(1, 10**20), Fraction(1, 10**12)],
+    ids=["1e-400", "1e-20", "1e-12"],
+)
 def test_zero_tolerance_exact_check_sees_any_excess(excess):
     # f(0) = 1 + excess breaks the bound f(0) <= 1 by less than a float can
-    # show next to 1; an exact check at zero tolerance must still see it.
+    # show next to 1; an exact check at zero tolerance must still see it,
+    # and likewise a value that exceeds the dual objective by ``excess``.
     sol = solve(ProblemSpec.turan(Z8, OMEGA_Z8, arithmetic=EXACT))
     assert verify_certificate(sol, tol=0.0).ok
     assert sol.lp.var_labels[0] == 0 and sol.var_values[0] == 1
@@ -184,6 +187,9 @@ def test_zero_tolerance_exact_check_sees_any_excess(excess):
     verdict = verify_certificate(replace(sol, var_values=values), tol=0.0)
     assert not verdict.ok
     assert "variable[0]: above upper bound" in verdict.violations
+    verdict = verify_certificate(replace(sol, value_exact=sol.value_exact + excess), tol=0.0)
+    assert not verdict.ok
+    assert any(v.startswith("duality gap") for v in verdict.violations)
 
 
 def test_solution_function_invariants():
