@@ -445,6 +445,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else 0
+    # argparse reads "--flag=--" as an empty list, past its type and choices.
+    for dest, value in vars(args).items():
+        if value == []:
+            print(f"error: argument --{dest.replace('_', '-')}: expected one argument",
+                  file=sys.stderr)
+            return EXIT_INPUT_ERROR
     try:
         return args.run(args)
     except (ValueError, OSError) as exc:

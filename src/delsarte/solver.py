@@ -31,10 +31,12 @@ and right-hand sides; the simplex, the certificate check and the dual
 objective read those arrays.  The float table is float64; the exact one is exact where the
 phase admits a rational cosine (reduced denominators 1, 2, 3, 4, 6) and
 the float value lifted to a ``Fraction`` otherwise, so "exact" means
-exact pivoting on exactly represented row data.  An exact certificate
-check compares exact numbers: its row activities and stationarity
+exact pivoting on exactly represented row data.  Float and exact
+certificates are checked by one table of conditions (an ``=`` row needs
+|slack| <= eps); an exact check's row activities and stationarity
 residuals are integer dot products over common denominators, so at zero
-tolerance it passes only a certificate that holds exactly.
+tolerance it passes only a certificate that holds exactly, and an exact
+solution without ``value_exact`` fails.
 """
 
 from __future__ import annotations
@@ -1109,38 +1111,51 @@ class CertificateVerdict:
         return self.ok
 
 
-def _float_violations(lp: LinearProgram, x, y, cert, eps: float) -> list[str]:
-    """The row and variable conditions of a float certificate, each one a
-    mask over all rows or all variables; messages are formatted only for
-    the failing entries, in the exact check's order (by row, then by
-    variable, each in the order of its conditions)."""
-    X, Y = np.array(x), np.array(y)
-    nu, mu = np.array(cert.lower_bounds), np.array(cert.upper_bounds)
-    lo, hi = np.array(lp.var_bounds).T
-    slacks = np.array(lp.rhs) - lp.A @ X
-    residuals = np.array(lp.objective) - Y @ lp.A - mu + nu
-    # A row's slack and multiplier times its sign must be >= -eps; an
-    # equality (sign 0) has no such condition.
-    sign = np.array([{"<=": 1.0, ">=": -1.0}.get(s, 0.0) for s in lp.senses])
-    m, n = Y.size, X.size
-    # Complementary pairs a_k b_k: (y_i, slack_i), (nu_j, x_j - lo_j) and
-    # (mu_j, hi_j - x_j); the distances to the bounds must be >= -eps too.
-    a = np.concatenate([Y, nu, mu])
-    b = np.concatenate([slacks, X - lo, hi - X])
+def _violations(lp: LinearProgram, x, y, cert, eps) -> list[str]:
+    """The row and variable conditions of a certificate, each one a mask
+    over all rows or all variables: float64 arrays for a float program,
+    object arrays of ``Fraction`` and an exact ``eps`` for an exact one.
+    Messages are formatted only for the failing entries, by row, then by
+    variable, each in the order of its conditions."""
+    exact = lp.arithmetic == EXACT
+    dtype = object if exact else None
+    X, Y = np.array(x, dtype), np.array(y, dtype)
+    nu, mu = np.array(cert.lower_bounds, dtype), np.array(cert.upper_bounds, dtype)
+    lo, hi = (np.array(v, dtype) for v in zip(*lp.var_bounds))
+    senses, floor = np.array(lp.senses), -eps
+    le, ge = senses == "<=", senses == ">="
+    m, n = len(senses), X.size
+    # NaN and inf entries fail their conditions; they raise no warning.
     with np.errstate(invalid="ignore", over="ignore"):
-        small = (a == 0) | (b == 0) | (np.abs(a * b) <= eps * np.maximum(1, np.abs(a)))
-        row_fails = ~np.array([
-            (sign * slacks >= -eps) | (sign == 0), (sign * Y >= -eps) | (sign == 0),
-            small[:m],
-        ]).T
+        if exact:
+            slacks, residuals = (np.array(v, object) for v in _exact_residuals(
+                lp, x, y, cert.upper_bounds, cert.lower_bounds))
+        else:
+            slacks = np.array(lp.rhs) - lp.A @ X
+            residuals = np.array(lp.objective) - Y @ lp.A - mu + nu
+        # A <= row needs slack and y >= -eps, a >= row both <= eps, an = row
+        # -eps <= slack <= eps with y free.
+        rows = np.array([slacks, Y])
+        row_ok = ((rows >= floor) | ge) & ((rows <= eps) | le)
+        row_ok[1] |= ~(le | ge)
+        # Complementary pairs a_k b_k: (y_i, slack_i), (nu_j, x_j - lo_j) and
+        # (mu_j, hi_j - x_j), negligible when |a b| <= eps max(1, |a|); the
+        # product is formed only where both sides are nonzero.  The distances
+        # to the bounds must be >= -eps too.
+        a = np.concatenate([Y, nu, mu])
+        b = np.concatenate([slacks, X - lo, hi - X])
+        small = (a == 0) | (b == 0)
+        both = ~small
+        small[both] = np.abs(a[both] * b[both]) <= eps * np.maximum(1, np.abs(a[both]))
         var_fails = ~np.concatenate([
-            np.concatenate([b[m:], a[m:]]) >= -eps, small[m:], np.abs(residuals) <= eps * 10,
+            np.concatenate([b[m:], a[m:]]) >= floor, small[m:], np.abs(residuals) <= eps * 10,
         ]).reshape(7, n).T
+    row_fails = ~np.array([*row_ok, small[:m]]).T
     violations = []
     for i, kind in zip(*row_fails.nonzero()):
         name, slack, y_i = _row_name(lp.row_labels[i]), float(slacks[i]), y[i]
         violations.append(
-            f"{name}: primal row violated by {-slack if sign[i] > 0 else slack}" if kind == 0
+            f"{name}: primal row violated by {abs(slack)}" if kind == 0
             else f"{name}: multiplier sign ({y_i})" if kind == 1
             else f"{name}: complementary slackness (y={y_i}, slack={slack})"
         )
@@ -1156,7 +1171,7 @@ def _float_violations(lp: LinearProgram, x, y, cert, eps: float) -> list[str]:
 
 
 def _exact_residuals(lp: LinearProgram, x, y, upper, lower):
-    """The same slacks and residuals of an exact program, each one
+    """The slacks and stationarity residuals of an exact program, each one
     Fraction built from an integer dot product over a common denominator."""
     X, dx = _over_common(x)
     rows = [_over_common(a) for a in lp.A.tolist()]
@@ -1185,87 +1200,41 @@ def _exact_residuals(lp: LinearProgram, x, y, upper, lower):
     return slacks, [Fraction(r, D) for r in acc]
 
 
-def _negligible(a, b, eps) -> bool:
-    """|a b| <= eps max(1, |a|): a complementary-slackness product."""
-    return not a or not b or abs(a * b) <= eps * max(1, abs(a))
-
-
 def verify_certificate(sol: Solution, tol: float | None = None) -> CertificateVerdict:
-    """Dual feasibility, complementary slackness and the weak-duality gap.
+    """Primal and dual feasibility, complementary slackness and the
+    weak-duality gap, by one table of conditions for both arithmetics
+    (``_violations``; an ``=`` row needs |slack| <= eps).
 
     Empty-class solutions pass vacuously.  Any violated condition is
     reported with the offending row or bound label.  Exact programs are
     checked on exact numbers (the tolerance too is taken as the exact
     value of its float), so ``tol=0`` passes only an exact certificate
-    with a duality gap of exactly zero; floats appear only in the
-    messages.  Float programs allow a gap of the larger of ``tol`` and the
-    spec's tolerance.
+    with a duality gap of exactly zero; an exact solution without
+    ``value_exact`` is missing certificate data.  Float programs allow a
+    gap of the larger of ``tol`` and the spec's tolerance.
     """
     if sol.status == "class_empty":
         return CertificateVerdict(True, ())
     lp, cert = sol.lp, sol.dual_certificate
-    if lp is None or cert is None or sol.var_values is None:
+    exact = lp is not None and lp.arithmetic == EXACT
+    if (lp is None or cert is None or sol.var_values is None
+            or exact and sol.value_exact is None):
         return CertificateVerdict(False, ("missing certificate data",))
-    exact = lp.arithmetic == EXACT
     if tol is None:
         tol = 0.0 if exact else max(sol.spec.tolerance, 1e-9)
-    x = sol.var_values
     y = [y_i for _, y_i in cert.rows]
-    violations: list[str] = []
-
-    def check(condition: bool, message) -> None:
-        # ``message`` is a callable, so passing checks format nothing.
-        if not condition:
-            violations.append(message())
-
-    eps = tol * max(1.0, abs(float(sol.value)))
-    if not exact:
-        violations.extend(_float_violations(lp, x, y, cert, eps))
-    else:
-        eps = Fraction(eps)
-        floor, stat_eps = -eps, eps * 10
-        slacks, residuals = _exact_residuals(lp, x, y, cert.upper_bounds, cert.lower_bounds)
-        for sense, slack, (label, y_i) in zip(lp.senses, slacks, cert.rows):
-            name = _row_name(label)
-            if sense == "<=":
-                check(slack >= floor, lambda: f"{name}: primal row violated by {float(-slack)}")
-                check(y_i >= floor, lambda: f"{name}: multiplier sign ({y_i})")
-            elif sense == ">=":
-                check(slack <= eps, lambda: f"{name}: primal row violated by {float(slack)}")
-                check(y_i <= eps, lambda: f"{name}: multiplier sign ({y_i})")
-            check(
-                _negligible(y_i, slack, eps),
-                lambda: f"{name}: complementary slackness (y={y_i}, slack={float(slack)})",
-            )
-        for j, residual in enumerate(residuals):
-            lo_j, hi_j = lp.var_bounds[j]
-            nu = cert.lower_bounds[j]
-            mu = cert.upper_bounds[j]
-            above_lo, below_hi = x[j] - lo_j, hi_j - x[j]
-            name = f"variable[{lp.var_labels[j]}]"
-            check(above_lo >= floor, lambda: f"{name}: below lower bound")
-            check(below_hi >= floor, lambda: f"{name}: above upper bound")
-            check(nu >= floor, lambda: f"{name}: lower multiplier sign ({nu})")
-            check(mu >= floor, lambda: f"{name}: upper multiplier sign ({mu})")
-            check(_negligible(nu, above_lo, eps),
-                  lambda: f"{name}: lower-bound complementary slackness")
-            check(_negligible(mu, below_hi, eps),
-                  lambda: f"{name}: upper-bound complementary slackness")
-            check(
-                -stat_eps <= residual <= stat_eps,
-                lambda: f"{name}: dual stationarity residual {float(residual)}",
-            )
+    eps = (Fraction if exact else float)(tol * max(1.0, abs(float(sol.value))))
+    violations = _violations(lp, sol.var_values, y, cert, eps)
     # Recompute the dual objective from the multipliers themselves; the
     # certificate is the multipliers, not a claimed gap.
     dual_obj = _dual_objective(lp, y, cert.upper_bounds, cert.lower_bounds)
     if exact:
-        value = Fraction(sol.value) if sol.value_exact is None else sol.value_exact
-        gap = value - lp.objective_scale * dual_obj
-        gap_eps = eps
+        gap, gap_eps = sol.value_exact - lp.objective_scale * dual_obj, eps
     else:
         gap = float(sol.value) - float(lp.objective_scale) * float(dual_obj)
         gap_eps = max(tol, sol.spec.tolerance) * max(1.0, abs(float(sol.value)))
-    check(abs(gap) <= gap_eps, lambda: f"duality gap {float(gap)}")
+    if not abs(gap) <= gap_eps:
+        violations.append(f"duality gap {float(gap)}")
     return CertificateVerdict(not violations, tuple(violations))
 
 

@@ -232,6 +232,29 @@ def test_classes_grid_is_a_decimal_count(capsys):
     assert run_cli(capsys, *argv, "16")[0] == cli.EXIT_OK
 
 
+# argparse reads "--flag=--" as an empty list of values, past the flag's
+# type and choices; each must exit 1 like a missing value.
+DASH_DASH_VALUES = [
+    ["solve", "--group=Z8", "--omega-plus=--"],
+    ["solve", "--group=--", "--omega-plus={0}"],
+    ["solve", "--group=Z8", "--omega-plus={0}", "--omega-minus=--"],
+    ["solve", "--group=Z8", "--omega-plus={0}", "--tol=--"],
+    ["sweep", "--torus=8", "--grid-list=16,32", "--omega-plus=--"],
+    ["classes", "--torus=8", "--grid=16", "--omega-plus=--"],
+    ["reduce", "--group=Z8", "--omega-plus=--"],
+]
+
+
+@pytest.mark.parametrize("argv", DASH_DASH_VALUES, ids="_".join)
+def test_dash_dash_value_exits_one(tmp_path, capsys, argv):
+    flag = next(a for a in argv if a.endswith("=--")).removesuffix("=--")
+    out = [f"--out={tmp_path / 'out'}"] if argv[0] in ("solve", "sweep") else []
+    code, stdout, err = run_cli(capsys, *argv, *out)
+    assert (code, stdout) == (cli.EXIT_INPUT_ERROR, "")
+    assert err == f"error: argument {flag}: expected one argument\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_torus_problem_file_matches_flags(tmp_path, capsys):
     problem = tmp_path / "torus.json"
     problem.write_text(

@@ -341,6 +341,58 @@ def test_exact_certificate_violations_are_reported_in_order(change, expected):
     assert certificate_verdict(lp, replace(raw, **exact_change), 0.0).violations == expected
 
 
+@pytest.mark.parametrize("arithmetic", [FLOAT, EXACT])
+def test_violated_equality_row_is_reported(arithmetic):
+    # max x  s.t.  x + y = 1,  x, y in [0, 1]: x = (1, 1/2) breaks the row by
+    # 1/2, while the dual side (row multiplier 0, upper multipliers (1, 0))
+    # proves the value 1 and every other condition holds.
+    lift = Fraction if arithmetic == EXACT else float
+    lp = make_lp([(0, 1), (0, 1)], [({0: 1, 1: 1}, "=", 1)], [1, 0], arithmetic)
+    raw = RawOptimum(x=(lift(1), lift(0)), objective=lift(1), row_duals=(lift(0),),
+                     lower_duals=(lift(0),) * 2, upper_duals=(lift(1), lift(0)),
+                     iterations=0, phase1_iterations=0)
+    tol = 0.0 if arithmetic == EXACT else 1e-9
+    assert certificate_verdict(lp, raw, tol).violations == ()
+    verdict = certificate_verdict(lp, replace(raw, x=(lift(1), lift(Fraction(1, 2)))), tol)
+    assert verdict.violations == ("row[0]: primal row violated by 0.5",)
+
+
+# Multiples of 1/4 in [-3, 3], with zero drawn more often than the rest:
+# every float sum and product of the checks below is exact on such data.
+DYADIC = st.one_of(st.just(Fraction(0)), st.integers(-12, 12).map(lambda k: Fraction(k, 4)))
+
+
+def as_float_multipliers(message: str) -> str:
+    """An exact message with its multipliers printed as the float check
+    prints them: "(1/2)" becomes "(0.5)", "y=-3" becomes "y=-3.0"."""
+    return re.sub(r"(y=|\()(-?\d+(?:/\d+)?)(?=[,)])",
+                  lambda m: m[1] + str(float(Fraction(m[2]))), message)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_float_and_exact_checks_agree_on_dyadic_programs(data):
+    # A random program and a tampered certificate, checked at zero tolerance
+    # in both arithmetics: the same conditions fail, in the same order.
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    dyadic = lambda count: [data.draw(DYADIC) for _ in range(count)]
+    rows = [(dict(enumerate(dyadic(n))), data.draw(st.sampled_from(["<=", ">=", "="])),
+             data.draw(DYADIC)) for _ in range(m)]
+    bounds = [(lo, lo + Fraction(data.draw(st.integers(0, 8)), 4)) for lo in dyadic(n)]
+    objective, x, y, nu, mu = dyadic(n), dyadic(n), dyadic(m), dyadic(n), dyadic(n)
+    value = data.draw(DYADIC)
+
+    def violations(arithmetic):
+        lift = Fraction if arithmetic == EXACT else float
+        lp = make_lp(bounds, rows, objective, arithmetic)
+        raw = RawOptimum(x=tuple(map(lift, x)), objective=lift(value),
+                         row_duals=tuple(map(lift, y)), lower_duals=tuple(map(lift, nu)),
+                         upper_duals=tuple(map(lift, mu)), iterations=0, phase1_iterations=0)
+        return certificate_verdict(lp, raw, 0.0).violations
+
+    assert violations(FLOAT) == tuple(map(as_float_multipliers, violations(EXACT)))
+
+
 @pytest.mark.parametrize("sense", ["=<", "<", "=="])
 def test_unknown_row_sense_is_rejected(sense):
     # max -x - y s.t. x + y (sense) 4 on [0, 5]^2: an unknown sense used to

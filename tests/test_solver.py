@@ -192,6 +192,19 @@ def test_zero_tolerance_exact_check_sees_any_excess(excess):
     assert any(v.startswith("duality gap") for v in verdict.violations)
 
 
+def test_exact_solution_without_exact_value_fails():
+    # Z5's exact value is not dyadic, so a check against its rounded float
+    # would see a gap; without ``value_exact`` there is no exact value to
+    # check, and the certificate is missing data.
+    group = FiniteAbelianGroup((5,))
+    sol = solve(ProblemSpec.turan(group, SymmetricSet.from_signed(group, [-1, 0, 1]),
+                                  arithmetic=EXACT))
+    assert verify_certificate(sol, tol=0.0).ok
+    assert Fraction(sol.value) != sol.value_exact
+    verdict = verify_certificate(replace(sol, value_exact=None))
+    assert (verdict.ok, verdict.violations) == (False, ("missing certificate data",))
+
+
 def test_solution_function_invariants():
     rng = random.Random(5)
     for _ in range(20):
