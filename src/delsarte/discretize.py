@@ -14,11 +14,12 @@ problem, and every such discretization carries a warning flag.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import MAX_ORDER, FiniteAbelianGroup
-from .realsets import RealSet1D, closure, is_boundary_coherent, is_symmetric
+from .realsets import Interval, RealSet1D, closure, is_boundary_coherent, is_symmetric
 
 RELAXATION_WARNING = (
     "set is not boundary-coherent: the grid problem models the integral "
@@ -65,8 +66,20 @@ class DiscreteProblemSet:
         return len(self.signed_members)
 
 
+def _index_range(piece: Interval, step: Fraction) -> range:
+    """The indices j with j * step in a bounded interval: the ceiling of
+    its left end over the step to the floor of its right end, each moved
+    inward by one where an open end lies on the grid."""
+    left, right = piece.left / step, piece.right / step
+    first = math.ceil(left) + (not piece.left_closed and left.denominator == 1)
+    last = math.floor(right) - (not piece.right_closed and right.denominator == 1)
+    return range(first, last + 1)
+
+
 def sample_set(s: RealSet1D, torus: TorusSpec) -> DiscreteProblemSet:
-    """Indices j in (-N/2, N/2] with j * step in S, decided exactly."""
+    """Indices j in (-N/2, N/2] with j * step in S, decided exactly, one
+    index range per interval of S (the wraparound check keeps every
+    range inside the window)."""
     if not is_symmetric(s):
         raise ValueError("discretization requires a symmetric set")
     if not s.is_bounded:
@@ -77,16 +90,12 @@ def sample_set(s: RealSet1D, torus: TorusSpec) -> DiscreteProblemSet:
             f"set reaches {closure(s).sup_abs()} but the torus window is "
             f"(-{half}, {half}): circumference too small (wraparound)"
         )
-    n = torus.grid
-    h = torus.step
-    members = tuple(
-        j for j in range(-((n - 1) // 2), n // 2 + 1) if s.contains(j * h)
-    )
+    members = [j for piece in s.intervals for j in _index_range(piece, torus.step)]
     verdict = is_boundary_coherent(s)
     return DiscreteProblemSet(
         torus=torus,
-        group=FiniteAbelianGroup((n,), h),
-        signed_members=members,
+        group=FiniteAbelianGroup((torus.grid,), torus.step),
+        signed_members=tuple(members),
         boundary_coherent=verdict.ok,
         warning=None if verdict.ok else RELAXATION_WARNING,
     )

@@ -13,13 +13,14 @@ Two formulations are built from the same pairing data: the primal form
 in function values and an independent Fourier-side form in spectrum
 values; their agreement is the standing cross-check.  By default ``solve``
 picks the form from its input: a float problem gets the Fourier form when
-it has fewer LP rows (in Delsarte mode unless Ω₊ = {0}), an exact one gets
-the primal form, so that a group and its subgroups solve LPs whose
-irrational cosines are lifted the same way.  A dense two-phase
-simplex is the single solving engine; it pivots either in float64 on a
-tableau of the nonbasic columns only (bounded variables, Dantzig pricing,
-Harris ratio test) or in exact arithmetic on a fraction-free integer
-tableau (Bland's rule, used by the exact path only).  Both builders and
+it has fewer rows than the primal form has variables (in Delsarte mode
+unless Ω₊ = {0}), an exact one gets the primal form, so that a group and
+its subgroups solve LPs whose irrational cosines are lifted the same way.
+A dense two-phase simplex is the single solving engine; it pivots either
+in float64 on a tableau of the nonbasic columns only (bounded variables,
+Dantzig pricing, Harris ratio test) or in exact arithmetic on a
+fraction-free integer tableau (Bland's rule, used by the exact path
+only).  Both builders and
 the exact Fourier reconstruction read one orbit matrix: the group's
 cosine table (``groups``: L values, one per integer phase p / L) indexed
 by the integer phase matrix of the element and character orbit
@@ -46,6 +47,7 @@ import operator
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -176,6 +178,13 @@ class LinearProgram:
     def num_vars(self) -> int:
         return len(self.var_labels)
 
+    @cached_property
+    def condensed(self) -> list[tuple[list[int], int]]:
+        """The rows of an exact program as integer numerators over the lcm
+        of their denominators (``_over_common``), made once for the exact
+        simplex and the certificate check to share."""
+        return [_over_common(a) for a in self.A.tolist()]
+
     @property
     def rows(self) -> tuple[LPRow, ...]:
         """The rows as ``LPRow``s, dense, built on every access; the
@@ -216,6 +225,14 @@ def _cosine_matrix(group, elements: Sequence[int], characters: Sequence[int],
 # held until the next full garbage collection.
 
 
+def _primal_vars(spec: ProblemSpec) -> tuple[list[int], dict[int, int]]:
+    """The primal form's variables, the element orbit representatives in
+    Ω₊ or Ω₋ and orbit 0, and the sizes of all element orbits."""
+    plus, minus = spec.omega_plus.indices, spec.omega_minus.indices
+    reps, rep_size = _orbits(spec.group.size, spec.group.neg_index)
+    return [r for r in reps if r == 0 or r in plus or r in minus], rep_size
+
+
 def build_primal(spec: ProblemSpec) -> LinearProgram:
     """LP in function values on negation-orbit representatives.
 
@@ -232,8 +249,7 @@ def build_primal(spec: ProblemSpec) -> LinearProgram:
     zero = Fraction(0) if exact else 0.0
     plus, minus = spec.omega_plus.indices, spec.omega_minus.indices
 
-    reps, rep_size = _orbits(group.size, group.neg_index)
-    var_reps = [r for r in reps if r == 0 or r in plus or r in minus]
+    var_reps, rep_size = _primal_vars(spec)
     bounds = tuple([
         (one, one) if r == 0
         else (-one if r in minus else zero, one if r in plus else zero)
@@ -262,8 +278,10 @@ def _fourier_rows(spec: ProblemSpec) -> tuple[list[int], list[tuple]]:
     (position in the representatives, label, sense).
 
     Element rows of the orbit matrix are |G| f(g) in the spectrum
-    variables: element 0 gives the normalization row, and each orbit
-    outside Ω₊ or Ω₋ a sign row for each side it lies outside.
+    variables: element 0 gives the normalization row, each nonzero orbit
+    outside one of Ω₊ and Ω₋ a sign row (``<=`` outside Ω₊, ``>=``
+    outside Ω₋), and each one outside both the ``=`` row f(g) = 0, so
+    there are 1 + (nonzero orbits not in both sets) rows.
     """
     group = spec.group
     plus, minus = spec.omega_plus.indices, spec.omega_minus.indices
@@ -273,10 +291,12 @@ def _fourier_rows(spec: ProblemSpec) -> tuple[list[int], list[tuple]]:
     ]
     rows = [(0, ("normalization",), "=")]
     for i, g in enumerate(reps[1:], 1):
-        if g not in plus:
+        if g in minus:
             rows.append((i, ("sign_plus", g), "<="))
-        if g not in minus:
+        elif g in plus:
             rows.append((i, ("sign_minus", g), ">="))
+        else:
+            rows.append((i, ("zero", g), "="))
     return reps, rows
 
 
@@ -284,8 +304,9 @@ def build_fourier_form(spec: ProblemSpec) -> LinearProgram:
     """Independent reformulation in spectrum values on character orbits.
 
     Variables are the h-free transform values, nonnegative by positive
-    definiteness; the normalization row encodes f(0) = 1 and the sign
-    rows constrain the reconstructed function outside the sign sets.
+    definiteness; the normalization row encodes f(0) = 1, the sign rows
+    constrain the reconstructed function outside one sign set and the
+    zero rows (right side 0, sense ``=``) set it to 0 outside both.
     Equivalence with the primal form follows from the inversion formula.
     """
     group = spec.group
@@ -443,10 +464,15 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     """Dense two-phase tableau simplex; bounded-variable in float.
 
     The float path works on x = lo + xt, 0 <= xt <= u = hi - lo, with no
-    box rows: a nonbasic column sits at either bound, and one at its upper
-    bound is complemented (xt = u - xt': its column negated in the tableau
-    and in the data, the right-hand side shifted by u times it), so
-    pricing, pivots and refactorization never see the bounds.  The Harris
+    box rows.  Only a row that the start xt = 0 violates gets an
+    artificial: a <= row, and any row whose shifted right side is 0,
+    takes a slack (such a >= row is negated to a <= row; such an = row
+    takes a slack fixed at 0, which is never priced or perturbed and
+    whose row dual is read with its sign, since it can end complemented).
+    A nonbasic column sits at either bound, and one at its upper bound is
+    complemented (xt = u - xt': its column negated in the tableau and in
+    the data, the right-hand side shifted by u times it), so pricing,
+    pivots and refactorization never see the bounds.  The Harris
     ratio test also stops basic variables at their upper bounds, and an
     entering variable that reaches its own bound first flips there with
     no pivot.  Every inequality is relaxed outward by a distinct
@@ -457,7 +483,10 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     right-hand side, since the basic columns are unit vectors, and its
     last row holds the reduced costs.  ``nonbasic`` names the variable of
     each column and ``basis`` that of each row.  Each pivot is one
-    in-place rank-1 update of these columns, after which the leaving
+    in-place rank-1 update of these columns (the outer product by
+    ``np.einsum`` into a buffer, one product per entry as
+    ``np.multiply.outer`` forms it but several times faster on tableaus
+    of a few hundred rows, then one subtraction), after which the leaving
     variable's column stands where the entering one stood.  After phase 1
     the nonbasic artificial of each >= row, the negated surplus column, is
     dropped.  At the end the tableau is rebuilt from the true data, a
@@ -483,7 +512,8 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     # pivots were pinned with.  The unit columns come last and are the
     # start basis.
     shifted = np.array(lp.rhs) - np.cumsum(lp.A * lo, axis=1)[:, -1]
-    data, flipped, ge, artificial = _standard_form(lp.A, lp.senses, shifted, np.ones(m))
+    data, flipped, ge, artificial, fixed = _standard_form(
+        lp.A, lp.senses, shifted, np.ones(m), zero_slack=True)
     ncols = data.shape[1] - 1
     k = unit = ncols - m  # nonbasic columns
     # Tableau column q is data column nonbasic[q]: a nonbasic variable, or
@@ -494,11 +524,18 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     T = np.empty((m + 1, k + 1))
     T[:m, :k] = data[:, :k]
     up = np.concatenate([hi - lo, np.full(ncols - nv, np.inf)])  # bound of each variable
+    up[fixed] = 0.0
     sign = np.ones(ncols + 1)  # -1 on complemented variables
     not_art = np.ones(ncols + 1, dtype=bool)
     not_art[artificial] = False
+    # What pricing may pick in phase 1 and in phase 2: never a slack fixed
+    # at 0, which cannot move, and in phase 2 no artificial.
+    moves = np.ones(ncols + 1, dtype=bool)
+    moves[fixed] = False
+    priced = moves & not_art
     up_basic = up[k:].copy()  # the bound of each basic variable, kept current,
-    free = not_art[:k].copy()  # and whether each column may be priced in phase 2
+    free = priced[:k].copy()  # and whether each column may be priced in phase 2
+    free1 = moves[:k].copy()  # or in phase 1
     iterations = bound_flips = 0
 
     # Deterministic degeneracy-breaking perturbation: relax every
@@ -508,7 +545,7 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     b = data[:, ncols]  # nonnegative after _standard_form
     delta = 1e-5 * (1.0 + float(b.max())) * np.arange(1, m + 1) / m
     T[:m, k] = b
-    np.add(b, delta, out=T[:m, k], where=not_art[k:ncols])  # <= rows: a slack
+    np.add(b, delta, out=T[:m, k], where=priced[k:ncols])  # a slack not fixed at 0
     np.subtract(b, delta, out=T[:m, k], where=ge & (b > delta))
     update = np.empty_like(T)  # rank-1 update buffer, reused by every pivot
     spread = np.zeros(data.shape)  # set_objective's tableau by variable index
@@ -522,13 +559,14 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
         T[:, q] = 0.0
         T[leave, q] = 1.0
         T[leave] /= p
-        np.multiply.outer(col, T[leave], out=update)
+        np.einsum("i,j->ij", col, T[leave], out=update)
         np.subtract(T, update, out=T)
         enter = nonbasic[q]
         nonbasic[q] = basis[leave]
         basis[leave] = enter
         up_basic[leave] = up[enter]
-        free[q] = not_art[nonbasic[q]]
+        free[q] = priced[nonbasic[q]]
+        free1[q] = moves[nonbasic[q]]
 
     def complement(q: int = -1, row: int = -1) -> None:
         # Substitute xt_j = u_j - xt'_j in the tableau and in the true
@@ -610,7 +648,7 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     twins = None  # the artificials dropped after phase 1
     if artificial:
         cost1 = np.where(not_art, 0.0, -1.0)
-        phase1_iterations = run_phase(cost1, np.ones(k, dtype=bool))
+        phase1_iterations = run_phase(cost1, free1)
         stuck = (~not_art[basis]).nonzero()[0]
         infeas = float(T[stuck, k].sum())
         if infeas > 1e-7:
@@ -685,7 +723,7 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     comp = sign[:nv] < 0
     xt = np.where(comp, up[:nv] - value[:nv], value[:nv])
     return _optimum(  # Python floats: the certificate check is scalar code
-        lp, xt.tolist(), _row_duals(rc.tolist(), unit, flipped),
+        lp, xt.tolist(), _row_duals((rc * sign).tolist(), unit, flipped),
         np.where(comp, 0.0, rc[:nv]).tolist(), np.where(comp, rc[:nv], 0.0).tolist(),
         0.0, iterations, phase1_iterations, bound_flips,
     )
@@ -717,8 +755,7 @@ def _exact_simplex(lp: LinearProgram) -> RawOptimum:
     nv = lp.num_vars
     lo_num, lo_den = _over_common([b[0] for b in lp.var_bounds])
     rows, b, den = [], [], []  # integer numerators over den
-    for a, rhs in zip(lp.A.tolist(), lp.rhs):
-        nums, d = _over_common(a)
+    for (nums, d), rhs in zip(lp.condensed, lp.rhs):
         rhs = rhs - Fraction(_dot(nums, lo_num), d * lo_den)
         common = math.lcm(d, rhs.denominator)
         rows.append([v * (common // d) for v in nums])
@@ -730,7 +767,7 @@ def _exact_simplex(lp: LinearProgram) -> RawOptimum:
         b.append(u.numerator)
         den.append(u.denominator)
     m = len(rows)
-    data, flipped, _, artificial = _standard_form(
+    data, flipped, _, artificial, _ = _standard_form(
         np.array(rows, dtype=object), lp.senses + ("<=",) * nv,
         np.array(b, dtype=object), np.array(den, dtype=object))
     ncols = data.shape[1] - 1
@@ -834,7 +871,7 @@ def _exact_simplex(lp: LinearProgram) -> RawOptimum:
 
 
 def _standard_form(A: np.ndarray, senses: Sequence[str], b: np.ndarray,
-                   den: np.ndarray):
+                   den: np.ndarray, zero_slack: bool = False):
     """The rows [A | b] laid out for the tableau: every row whose right
     side is negative negated, then the structural columns, a -den_i e_i
     surplus column per >= row, one +den_i e_i column per row (slack for
@@ -843,13 +880,21 @@ def _standard_form(A: np.ndarray, senses: Sequence[str], b: np.ndarray,
     Variable bounds are not rows here; the float simplex handles them in
     its ratio test and the exact one appends box rows before calling this.
 
+    With ``zero_slack`` (the float layout) a row whose right side is 0 is
+    satisfied at the start and takes a slack: a >= row is negated to a <=
+    row, and an = row's slack is to be fixed at 0 by the caller.
+
     Returns the laid-out rows, which rows were negated, which are >= rows
-    after that and the artificial columns.
+    after that, the artificial columns and the slack columns of = rows.
     """
     m, nv = A.shape
-    flipped = b < 0
     senses = np.array(senses)
-    ge = np.where(flipped, senses == "<=", senses == ">=")
+    le, ge = senses == "<=", senses == ">="
+    zero = (b == 0) & zero_slack
+    flipped = (b < 0) | (zero & ge)
+    fixed = zero & ~(le | ge)
+    slack = np.where(flipped, ge, le) | fixed
+    ge = np.where(flipped, le, ge)
     surplus = ge.nonzero()[0]
     unit = nv + surplus.size
     data = np.zeros((m, unit + m + 1), dtype=A.dtype)
@@ -857,8 +902,8 @@ def _standard_form(A: np.ndarray, senses: Sequence[str], b: np.ndarray,
     data[surplus, np.arange(nv, unit)] = -den[surplus]
     np.fill_diagonal(data[:, unit:], den)
     data[:, -1] = np.where(flipped, -b, b)
-    slack = np.where(flipped, senses == ">=", senses == "<=")
-    return data, flipped, ge, (unit + (~slack).nonzero()[0]).tolist()
+    return (data, flipped, ge, (unit + (~slack).nonzero()[0]).tolist(),
+            unit + fixed.nonzero()[0])
 
 
 def _over_common(values) -> tuple[list[int], int]:
@@ -992,19 +1037,24 @@ def _reconstruct(spec: ProblemSpec, lp: LinearProgram, x: Sequence, formulation:
 
 
 def _auto_formulation(spec: ProblemSpec) -> str:
-    """The form ``solve`` takes by default: the one with fewer LP rows for a
-    float problem, ties going to primal, and primal for an exact problem.
+    """The form ``solve`` takes by default: for a float problem the Fourier
+    form when it has fewer rows than the primal form has variables, else
+    primal; primal for an exact problem.
 
-    The primal form has one row per character orbit, and the Fourier form
-    the rows that ``_fourier_rows`` lists, so the count needs neither LP.
-    Exact problems stay primal because a group and a subgroup solved in
-    different forms lift different irrational cosines to ``Fraction``, and
-    the reduction identity would then lose exact equality.
+    The primal form has one row per character orbit and the Fourier form
+    one variable per character orbit, so this picks the smaller tableau.
+    The rows are those ``_fourier_rows`` lists and the variables those
+    ``_primal_vars`` lists, so the count needs neither LP.  With a, b, c
+    and d the nonzero element orbits in both sets, in Ω₊ only, in Ω₋ only
+    and in neither, the rule reads 1 + b + c + d < 1 + a + b + c, that is
+    d < a.  Exact problems stay primal because a group and a subgroup
+    solved in different forms lift different irrational cosines to
+    ``Fraction``, and the reduction identity would then lose exact
+    equality.
     """
     if spec.arithmetic == EXACT:
         return "primal"
-    group = spec.group
-    if len(_fourier_rows(spec)[1]) < len(_orbits(group.size, group.char_neg_index)[0]):
+    if len(_fourier_rows(spec)[1]) < len(_primal_vars(spec)[0]):
         return "fourier"
     return "primal"
 
@@ -1013,8 +1063,9 @@ def solve(spec: ProblemSpec, formulation: str = "auto") -> Solution:
     """Build, solve and validate one extremal problem.
 
     ``formulation`` is "primal", "fourier" or "auto" (``_auto_formulation``):
-    a float problem solves the form with fewer LP rows, ties going to
-    primal, and an exact problem always solves the primal form.  A float
+    a float problem solves the Fourier form when it has fewer rows than
+    the primal form has variables, else primal, and an exact problem
+    always solves the primal form.  A float
     Delsarte problem gets the Fourier form unless Ω₊ = {0}; a Turan
     problem gets it only when Ω₊ covers more than half of the nonzero
     negation orbits, so Turan intervals on a torus grid stay primal.
@@ -1174,7 +1225,7 @@ def _exact_residuals(lp: LinearProgram, x, y, upper, lower):
     """The slacks and stationarity residuals of an exact program, each one
     Fraction built from an integer dot product over a common denominator."""
     X, dx = _over_common(x)
-    rows = [_over_common(a) for a in lp.A.tolist()]
+    rows = lp.condensed
     slacks = []
     for rhs, (A, d) in zip(lp.rhs, rows):
         den = d * dx

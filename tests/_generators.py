@@ -36,6 +36,13 @@ def random_symmetric_realset(
     return pieces
 
 
+def grid_members_by_point(s: RealSet1D, torus) -> tuple[int, ...]:
+    """The indices j in (-N/2, N/2] with j * step in S, by one exact
+    membership test per grid point: the reference for ``sample_set``."""
+    n, h = torus.grid, torus.step
+    return tuple([j for j in range(-((n - 1) // 2), n // 2 + 1) if s.contains(j * h)])
+
+
 def random_group(rng: random.Random, max_order: int = 64) -> FiniteAbelianGroup:
     """Random product of cyclic factors with bounded total order."""
     orders = []

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _generators import grid_members_by_point
 from delsarte.discretize import TorusSpec, sample_set
 from delsarte.realsets import RealSet1D, closure, interior, parse_real_set
 
@@ -81,3 +84,29 @@ def test_measure_consistency_bound():
         dps = sample_set(s, torus)
         approx = torus.step * len(dps)
         assert abs(approx - s.measure()) <= 2 * torus.step * len(s.intervals)
+
+
+@st.composite
+def set_on_a_torus(draw):
+    """A symmetric set and a torus it fits on.  The endpoints are multiples
+    of step / q, so q = 1 puts every endpoint on a grid point; touching
+    pieces with open ends give punctures, at 0 too."""
+    n = draw(st.integers(3, 200))
+    torus = TorusSpec(Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 6))), n)
+    q = draw(st.sampled_from([1, 1, 2, 3, 7]))
+    # Endpoints k * step / q with k < n q / 2 stay inside the window.
+    cuts = sorted(draw(st.sets(st.integers(0, (n * q - 1) // 2), min_size=2, max_size=6)))
+    s = RealSet1D.empty()
+    for a, b in zip(cuts, cuts[1:]):
+        if draw(st.booleans()):
+            piece = RealSet1D.interval(a * torus.step / q, b * torus.step / q,
+                                       draw(st.booleans()), draw(st.booleans()))
+            s = s.union(piece).union(piece.negate())
+    return s, torus
+
+
+@settings(max_examples=300, deadline=None)
+@given(set_on_a_torus())
+def test_sampling_by_ranges_matches_the_point_loop(data):
+    s, torus = data
+    assert sample_set(s, torus).signed_members == grid_members_by_point(s, torus)

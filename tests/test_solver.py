@@ -27,6 +27,7 @@ from delsarte.solver import (
     ClassEmptyProblem,
     LinearProgram,
     ProblemSpec,
+    _auto_formulation,
     build_fourier_form,
     build_primal,
     simplex_solve,
@@ -420,8 +421,9 @@ def test_lp_rows_reference_valid_variables_and_finite_bounds():
 )
 def test_default_n1024_solves_in_fewer_rows_form(mode, formulation):
     # Torus 8, N = 1024, through the default form.  Delsarte solves its
-    # Fourier LP (385 rows against 513 primal ones); a Turan interval leaves
-    # most orbits outside the set, so it stays primal (513 against 769).
+    # Fourier LP (385 rows against the primal form's 513 variables); a Turan
+    # interval leaves most orbits outside the set, so it stays primal (129
+    # variables against 385 Fourier rows).
     sol, warning = solve_discretized(
         parse_real_set("[-1,1]"), None, TorusSpec(Fraction(8), 1024), mode=mode
     )
@@ -432,13 +434,15 @@ def test_default_n1024_solves_in_fewer_rows_form(mode, formulation):
 
 
 def test_default_formulation_has_fewer_rows():
-    # The closed-form row count behind the default, checked against both
-    # builders: a float problem solves the form with fewer rows, ties going
-    # to primal; an exact one always solves the primal form.
+    # The default, checked against both builders: a float problem solves
+    # the Fourier form when it has fewer rows than the primal form has
+    # variables, ties going to primal (both forms have one row or variable
+    # per character orbit, so this is the smaller tableau); an exact one
+    # always solves the primal form.
     z6 = FiniteAbelianGroup((6,))
     tie = ProblemSpec.general(z6, SymmetricSet.from_signed(z6, [-1, 0, 1]),
                               SymmetricSet.from_signed(z6, [-2, -1, 1, 2]))
-    assert len(build_primal(tie).rhs) == len(build_fourier_form(tie).rhs) == 4
+    assert build_primal(tie).num_vars == len(build_fourier_form(tie).rhs) == 3
     assert solve(tie).formulation == "primal"
     rng = random.Random(1107)
     chosen = {"primal": 0, "fourier": 0}
@@ -454,17 +458,74 @@ def test_default_formulation_has_fewer_rows():
             spec = ProblemSpec.general(
                 group, omega_plus, random_symmetric_set(group, rng, 0.3)
             )
-        primal_rows = len(build_primal(spec).rhs)
+        primal_vars = build_primal(spec).num_vars
         fourier_rows = len(build_fourier_form(spec).rhs)
         sol = solve(spec)
-        expected = "fourier" if fourier_rows < primal_rows else "primal"
-        assert sol.formulation == expected, (group, mode, primal_rows, fourier_rows)
+        expected = "fourier" if fourier_rows < primal_vars else "primal"
+        assert sol.formulation == expected, (group, mode, primal_vars, fourier_rows)
         assert sol.certificate_verdict.ok
         chosen[expected] += 1
-        if fourier_rows < primal_rows and group.size <= 12:
+        if fourier_rows < primal_vars and group.size <= 12:
             exact = solve(replace(spec, arithmetic=EXACT))
             assert exact.formulation == "primal"
     assert min(chosen.values()) > 0, chosen
+
+
+def orbit_counts(spec) -> tuple[int, int, int, int, int]:
+    """The nonzero element orbits in both sign sets (a), in Ω₊ only (b), in
+    Ω₋ only (c) and in neither (d), and the number E of all orbits."""
+    group = spec.group
+    plus, minus = spec.omega_plus.indices, spec.omega_minus.indices
+    orbits = {frozenset((g, group.neg_index(g))) for g in range(1, group.size)}
+    reps = [min(o) for o in orbits]
+    a = sum(g in plus and g in minus for g in reps)
+    b = sum(g in plus and g not in minus for g in reps)
+    c = sum(g in minus and g not in plus for g in reps)
+    return a, b, c, len(reps) - a - b - c, 1 + len(reps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["turan", "delsarte", "general"]))
+def test_auto_formulation_keeps_the_row_count_rule(seed, mode):
+    # The rule the default used when the Fourier form wrote each zero orbit
+    # as a <= / >= pair: Fourier when its 1 + b + c + 2d rows are fewer than
+    # the primal form's E rows.  Both that rule and the current one reduce
+    # to d < a, so every default form stays as it was.
+    rng = random.Random(seed)
+    group = random_group(rng, 64)
+    plus = random_symmetric_set(group, rng, rng.random(), ensure_zero=True)
+    if mode == "turan":
+        spec = ProblemSpec.turan(group, plus)
+    elif mode == "delsarte":
+        spec = ProblemSpec.delsarte(group, plus)
+    else:
+        spec = ProblemSpec.general(group, plus, random_symmetric_set(group, rng, rng.random()))
+    a, b, c, d, e = orbit_counts(spec)
+    assert _auto_formulation(spec) == ("fourier" if 1 + b + c + 2 * d < e else "primal")
+
+
+@pytest.mark.parametrize("mode", ["turan", "general"])
+def test_fourier_form_has_one_equality_row_per_zero_orbit(mode):
+    # Each nonzero orbit outside both sign sets is one = row, f(g) = 0;
+    # an orbit outside one set is one sign row.
+    rng = random.Random(24)
+    for _ in range(30):
+        group = random_group(rng, 64)
+        plus = random_symmetric_set(group, rng, 0.4, ensure_zero=True)
+        spec = (ProblemSpec.turan(group, plus) if mode == "turan" else ProblemSpec.general(
+            group, plus, random_symmetric_set(group, rng, 0.4)))
+        lp = build_fourier_form(spec)
+        a, b, c, d, e = orbit_counts(spec)
+        assert len(lp.rhs) == 1 + b + c + d == e - a
+        zero = [(label, sense, rhs) for label, sense, rhs in zip(lp.row_labels, lp.senses, lp.rhs)
+                if label[0] == "zero"]
+        plus, minus = spec.omega_plus.indices, spec.omega_minus.indices
+        assert [label[1] for label, _, _ in zero] == [
+            g for g in sorted({min(g, group.neg_index(g)) for g in range(1, group.size)})
+            if g not in plus and g not in minus
+        ]
+        assert all(sense == "=" and rhs == 0 for _, sense, rhs in zero)
+        assert lp.senses.count("=") == 1 + d  # the normalization row and the zero rows
 
 
 def spectrum_of_variables(sol) -> np.ndarray:
