@@ -241,8 +241,8 @@ def test_zero_right_side_rows_take_slacks(bounds, rows, objective, value):
 
 
 def test_complemented_fixed_slack_gives_the_row_dual():
-    # max 2x + 2y with -2y = 0: stationarity in y, 2 = -2 y_0 + 2 y_1, with
-    # the >= row slack (y_1 = 0) makes y_0 = -1.
+    # max 2x + 2y with -2y = 0: stationarity in y reads 2 = -2 y_0 + 2 y_1,
+    # and the >= row is slack (y_1 = 0), so y_0 = -1.
     bounds, rows, objective, _ = ZERO_RIGHT_SIDE_PROGRAMS[1]
     raw = simplex_solve(make_lp(bounds, rows, objective))
     assert raw.row_duals == pytest.approx((-1.0, 0.0), abs=1e-12)
