@@ -153,10 +153,10 @@ def emit_figure_data(function: GroupFunction | None, path: str | Path) -> None:
     group = function.group
     h = float(group.weight)
     rows = []
-    for i in range(group.size):
+    for i, value in enumerate(function.values.tolist()):
         signed = group.signed_coords(i)
         coord = signed[0] * h if len(signed) == 1 else None
-        rows.append((signed, coord, function(i)))
+        rows.append((signed, coord, value))
     rows.sort(key=lambda r: r[0])
     with open(path, "w", newline="") as fh:
         fh.write("coordinate,value\n")

@@ -161,11 +161,11 @@ class FiniteAbelianGroup:
     @cached_property
     def float_cosines(self) -> np.ndarray:
         """cos(2*pi*p/L) for every phase index p, from the integer fold
-        q = min(p, L - p); built once per group, read-only."""
+        q = min(p, L - p): each q <= L/2 is evaluated once and mirrored
+        to L - q; built once per group, read-only."""
         modulus = self.phase_modulus
         out = []
-        for p in range(modulus):
-            q = min(p, modulus - p)
+        for q in range(modulus // 2 + 1):
             exact = _niven_cos(q, modulus)
             if exact is not None:
                 out.append(float(exact))
@@ -173,7 +173,7 @@ class FiniteAbelianGroup:
                 out.append(-math.cos(2.0 * math.pi * ((modulus - 2 * q) / (2 * modulus))))
             else:
                 out.append(math.cos(2.0 * math.pi * (q / modulus)))
-        table = np.array(out)
+        table = np.array(out + out[1:(modulus + 1) // 2][::-1])
         table.flags.writeable = False
         return table
 

@@ -84,7 +84,7 @@ class GroupFunction:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["index", "coordinates", "value"])
-            for i, v in enumerate(self.values):
+            for i, v in enumerate(self.values.tolist()):
                 coordinates = ";".join(str(c) for c in self.group.coords_of(i))
                 writer.writerow([i, coordinates, fmt_sig(v)])
 
@@ -125,7 +125,7 @@ class Spectrum:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["char_index", "value_re", "value_im"])
-            for i, v in enumerate(self.values):
+            for i, v in enumerate(self.values.tolist()):
                 writer.writerow([i, fmt_sig(v.real), fmt_sig(v.imag)])
 
 

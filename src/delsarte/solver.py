@@ -361,12 +361,16 @@ class RawOptimum:
     bound_flips: int = 0
 
 
-def price_dantzig(rc: np.ndarray, allowed: np.ndarray, eps: float) -> int:
-    """Steepest reduced cost below -eps among allowed columns, first on
-    ties; -1 when none prices out."""
+def price_dantzig(rc: np.ndarray, allowed: np.ndarray, labels: np.ndarray,
+                  eps: float) -> int:
+    """Steepest reduced cost below -eps among allowed columns, the lowest
+    label on ties; -1 when none prices out."""
     masked = np.where(allowed, rc, np.inf)
     j = int(masked.argmin())
-    return j if masked[j] < -eps else -1
+    if not masked[j] < -eps:
+        return -1
+    ties = (masked == masked[j]).nonzero()[0]
+    return j if ties.size == 1 else int(ties[labels[ties].argmin()])
 
 
 def price_bland(rc: list, labels: list, allowed) -> int:
@@ -378,25 +382,6 @@ def price_bland(rc: list, labels: list, allowed) -> int:
         if c < 0 and allowed[j] and (best < 0 or j < lowest):
             best, lowest = q, j
     return best
-
-
-def leave_harris(col: np.ndarray, rhs: np.ndarray, pivot_tol: float,
-                 slack: float, tiny: float) -> int:
-    """Harris two-pass ratio test.
-
-    Pass one takes the smallest ratio relaxed by ``slack`` over entries
-    above ``pivot_tol``; pass two takes, among the rows whose true ratio
-    is within that bound, the first with the largest entry.  When only
-    entries of at most ``pivot_tol`` remain, the first largest entry
-    above ``tiny`` is taken.  Returns -1 when no entry exceeds ``tiny``.
-    """
-    rows = (col > pivot_tol).nonzero()[0]
-    if rows.size == 0:
-        rows = (col > tiny).nonzero()[0]
-        return int(rows[col[rows].argmax()]) if rows.size else -1
-    a, b = col[rows], rhs[rows]
-    theta = ((b + slack) / a).min()
-    return int(rows[np.where(b / a <= theta, a, 0.0).argmax()])
 
 
 def leave_bland(col: list, rhs: list, basis: list) -> int:
@@ -426,36 +411,50 @@ def polish_row(rhs: np.ndarray, floor: float) -> int:
 
 
 def polish_col(row: np.ndarray, rc: np.ndarray, allowed: np.ndarray,
-               pivot_tol: float) -> int:
+               labels: np.ndarray, pivot_tol: float) -> int:
     """Dual ratio test on a leaving row: among allowed entries below
-    -pivot_tol, the smallest rc / |a|, ties broken by the first largest
-    |a|.  Returns -1 when the row proves the program infeasible."""
+    -pivot_tol, the smallest rc / |a|, ties broken by the largest |a| and
+    then by the lowest label.  Returns -1 when the row proves the program
+    infeasible."""
     cols = (allowed & (row < -pivot_tol)).nonzero()[0]
     if cols.size == 0:
         return -1
     ratios = rc[cols] / -row[cols]
     ties = cols[ratios == ratios.min()]
-    return int(ties[np.abs(row[ties]).argmax()])
+    size = np.abs(row[ties])
+    ties = ties[size == size.max()]
+    return int(ties[labels[ties].argmin()])
 
 
 def leave_bounded(col: np.ndarray, rhs: np.ndarray, upper: np.ndarray,
                   bound: float, pivot_tol: float, slack: float,
                   tiny: float) -> tuple[int, bool]:
-    """Harris's test for a column entering from 0 towards ``bound``, with
-    basic variable i in [0, upper[i]].
+    """Harris's two-pass ratio test for a column entering from 0 towards
+    ``bound``, with basic variable i in [0, upper[i]].
 
     A positive entry drives its basic variable down to 0 and a negative
-    one drives it up to a finite ``upper``; both become one Harris column
-    of positive entries over the distance left.  Returns the leaving row
-    and whether its variable leaves at its upper bound, or (-1, False)
-    when the entering variable reaches its own bound first (a bound flip)
-    or nothing blocks it.
+    one up to a finite ``upper``: either is a positive entry a over the
+    distance b left.  Pass one takes the smallest (b + slack) / a over
+    entries above ``pivot_tol``, pass two the first largest entry among
+    the rows with b / a within it; with no entry above ``pivot_tol``, the
+    first largest above ``tiny`` leaves.  Returns the leaving row and
+    whether it leaves at its upper bound, or (-1, False) when the entering
+    variable reaches ``bound`` first (a bound flip) or nothing blocks it.
     """
     rises = (col < 0) & (upper < np.inf)
     a = np.where(rises, -col, col)
     b = np.where(rises, upper - rhs, rhs)
-    row = leave_harris(a, b, pivot_tol, slack, tiny)
-    if row < 0 or bound <= b[row] / a[row]:
+    rows = (a > pivot_tol).nonzero()[0]
+    if rows.size:
+        ar, br = a[rows], b[rows]
+        theta = ((br + slack) / ar).min()
+        row = int(rows[np.where(br / ar <= theta, ar, 0.0).argmax()])
+    else:
+        rows = (a > tiny).nonzero()[0]
+        if rows.size == 0:
+            return -1, False
+        row = int(rows[a[rows].argmax()])
+    if bound <= b[row] / a[row]:
         return -1, False
     return row, bool(rises[row])
 
@@ -487,15 +486,17 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     ``np.einsum`` into a buffer, one product per entry as
     ``np.multiply.outer`` forms it but several times faster on tableaus
     of a few hundred rows, then one subtraction), after which the leaving
-    variable's column stands where the entering one stood.  After phase 1
-    the nonbasic artificial of each >= row, the negated surplus column, is
-    dropped.  At the end the tableau is rebuilt from the true data, a
-    short dual-simplex pass repairs the perturbation-sized infeasibility
-    on either bound, and one primal pass and a second rebuild (skipped
-    when nothing moved since the first) re-certify optimality; a basis
-    that still fails raises.  Every selection rule takes the lowest
-    variable index among equal candidates, so the pivots are those the
-    full tableau takes.  Exact-rational programs go to ``_exact_simplex``
+    variable's column stands where the entering one stood.  An artificial
+    is never priced, and after phase 1 its upper bound is 0, so the ratio
+    test holds one left basic on a redundant row at 0; the nonbasic
+    artificial of each >= row, the negated surplus column, is dropped.
+    At the end the tableau is rebuilt from the true data, a short
+    dual-simplex pass repairs the perturbation-sized infeasibility on
+    either bound, and one primal pass and a second rebuild (skipped when
+    nothing moved since the first) re-certify optimality; a basis that
+    still fails raises.  Each selection rule takes the lowest variable
+    label among equal candidates, so the pivots are those the full
+    tableau takes.  Exact-rational programs go to ``_exact_simplex``
     (Bland's rule on a fraction-free integer tableau with explicit box
     rows).
 
@@ -528,14 +529,12 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     sign = np.ones(ncols + 1)  # -1 on complemented variables
     not_art = np.ones(ncols + 1, dtype=bool)
     not_art[artificial] = False
-    # What pricing may pick in phase 1 and in phase 2: never a slack fixed
-    # at 0, which cannot move, and in phase 2 no artificial.
-    moves = np.ones(ncols + 1, dtype=bool)
-    moves[fixed] = False
-    priced = moves & not_art
+    # What pricing may pick: never a slack fixed at 0, which cannot move,
+    # and never an artificial, which once out of the basis stays out.
+    priced = not_art.copy()
+    priced[fixed] = False
     up_basic = up[k:].copy()  # the bound of each basic variable, kept current,
-    free = priced[:k].copy()  # and whether each column may be priced in phase 2
-    free1 = moves[:k].copy()  # or in phase 1
+    free = priced[:k].copy()  # and whether each column may be priced
     iterations = bound_flips = 0
 
     # Deterministic degeneracy-breaking perturbation: relax every
@@ -566,7 +565,6 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
         basis[leave] = enter
         up_basic[leave] = up[enter]
         free[q] = priced[nonbasic[q]]
-        free1[q] = moves[nonbasic[q]]
 
     def complement(q: int = -1, row: int = -1) -> None:
         # Substitute xt_j = u_j - xt'_j in the tableau and in the true
@@ -604,27 +602,22 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
             pass
         set_objective(cost2)
 
-    def lowest(candidates: np.ndarray) -> int:
-        return int(candidates[nonbasic[candidates].argmin()])
-
     limit = PIVOTS_PER_COLUMN * (m + ncols)  # steps per phase
     pivot_tol = 1e-9  # never pivot on anything smaller
     harris_slack = 1e-9
     tiny = 1e-11  # Harris falls back to entries above this, never below
 
-    def run_phase(cost: np.ndarray | None, allowed: np.ndarray) -> int:
+    def run_phase(cost: np.ndarray | None) -> int:
         # cost None: the reduced-cost row is already that of this phase.
         nonlocal iterations, bound_flips
         if cost is not None:
             set_objective(cost)
-        rc, values = T[m, :k], T[:m, k]
+        rc, values, labels = T[m, :k], T[:m, k], nonbasic[:k]
         steps = pivots = 0
         while True:
-            q = price_dantzig(rc, allowed, 1e-9)
+            q = price_dantzig(rc, free, labels, 1e-9)
             if q < 0:
                 return pivots
-            if np.count_nonzero(rc == rc[q]) > 1:
-                q = lowest((allowed & (rc == rc[q])).nonzero()[0])
             bound = up[nonbasic[q]]
             leave, at_upper = leave_bounded(
                 T[:m, q], values, up_basic, bound, pivot_tol, harris_slack, tiny,
@@ -648,19 +641,15 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     twins = None  # the artificials dropped after phase 1
     if artificial:
         cost1 = np.where(not_art, 0.0, -1.0)
-        phase1_iterations = run_phase(cost1, free1)
+        phase1_iterations = run_phase(cost1)
         stuck = (~not_art[basis]).nonzero()[0]
         infeas = float(T[stuck, k].sum())
         if infeas > 1e-7:
             raise SimplexError(f"infeasible program (residual {infeas})")
-        # Drive leftover degenerate artificials out of the basis so phase 2
-        # cannot move them; an all-zero row is redundant and stays put.  A
-        # real pivot threshold keeps elimination residue (~1e-16) from
-        # being picked as a pivot and corrupting the tableau.
-        for i in stuck:
-            hits = (free & (np.abs(T[i, :k]) > 1e-7)).nonzero()[0]
-            if hits.size:
-                pivot(i, lowest(hits))
+        # Every artificial is now bounded by 0, so the ratio test keeps a
+        # leftover basic one at 0 through phase 2.
+        up[artificial] = 0.0
+        up_basic[stuck] = 0.0
         # A nonbasic artificial of a >= row is the negated surplus column
         # of its row and is never priced again: drop it, and read its
         # reduced cost, the row's dual, from the surplus column at the end.
@@ -674,7 +663,7 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
             update = np.empty_like(T)
 
     cost2 = np.array(_phase2_cost(lp, ncols + 1, 0.0))
-    run_phase(cost2, free)
+    run_phase(cost2)
 
     # Restore the true right-hand side.  The perturbed optimum basis is
     # dual feasible for the true data; a short dual-simplex pass repairs
@@ -693,22 +682,21 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
             break
         if over[leave] < rhs[leave]:
             complement(row=leave)
-        order = nonbasic[:k].argsort()  # the rule's first: the lowest index
-        q = polish_col(T[leave, order], T[m, order], free[order], pivot_tol)
+        q = polish_col(T[leave, :k], T[m, :k], free, nonbasic[:k], pivot_tol)
         if q < 0:
             raise SimplexError("dual polish found an infeasible row")
-        pivot(leave, int(order[q]))
+        pivot(leave, q)
         iterations += 1
         polish += 1
         if polish > polish_limit:
             raise SimplexError("dual polish did not converge")
     # While no step has been taken since refactor(), the tableau is the
     # one a new refactor() would give, bit for bit.
-    run_phase(cost2 if polish else None, free)
+    run_phase(cost2 if polish else None)
     if iterations + bound_flips > refactored_at:
         refactor()
     rhs = T[:m, k]
-    optimal = price_dantzig(T[m, :k], free, 1e-8) < 0
+    optimal = price_dantzig(T[m, :k], free, nonbasic[:k], 1e-8) < 0
     if not (optimal and (rhs >= -1e-9).all() and (rhs <= up_basic + 1e-9).all()):
         raise SimplexError("optimality not reached on the restored data")
 

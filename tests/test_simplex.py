@@ -29,7 +29,6 @@ from delsarte.solver import (
     build_primal,
     leave_bland,
     leave_bounded,
-    leave_harris,
     polish_col,
     polish_row,
     price_bland,
@@ -246,6 +245,30 @@ def test_complemented_fixed_slack_gives_the_row_dual():
     bounds, rows, objective, _ = ZERO_RIGHT_SIDE_PROGRAMS[1]
     raw = simplex_solve(make_lp(bounds, rows, objective))
     assert raw.row_duals == pytest.approx((-1.0, 0.0), abs=1e-12)
+
+
+# Programs whose third = row is the sum of the first two, so that an
+# artificial is still basic after phase 1; in the second, phase 2 would
+# raise it off 0 were its upper bound not 0.
+REDUNDANT_EQUALITY_PROGRAMS = [
+    # max x0 + x1 + x2  s.t.  x0 + x1 = 1,  x1 + x2 = 1,  x0 + 2x1 + x2 = 2
+    ([({0: 1, 1: 1}, "=", 1), ({1: 1, 2: 1}, "=", 1), ({0: 1, 1: 2, 2: 1}, "=", 2)],
+     [1, 1, 1], 2.0),
+    # max -2x0 - x1 - x2  s.t.  x1 = 2,  x0 - x1 + x2 = 0,  x0 + x2 = 2
+    ([({1: 1}, "=", 2), ({0: 1, 1: -1, 2: 1}, "=", 0), ({0: 1, 2: 1}, "=", 2)],
+     [-2, -1, -1], -4.0),
+]
+
+
+@pytest.mark.parametrize("rows, objective, value", REDUNDANT_EQUALITY_PROGRAMS,
+                         ids=["leftover-basic", "held-by-bound"])
+def test_redundant_equality_keeps_its_artificial_at_zero(rows, objective, value):
+    lp = make_lp([(0, 2)] * 3, rows, objective)  # x in [0, 2]
+    raw = simplex_solve(lp)
+    assert float(raw.objective) == pytest.approx(value, abs=1e-12)
+    assert float(raw.objective) == pytest.approx(scipy_value(lp), abs=1e-9)
+    verdict = certificate_verdict(lp, raw, 1e-9)
+    assert verdict.ok, verdict.violations
 
 
 def zero_right_side_program(rng: random.Random) -> LinearProgram:
@@ -494,7 +517,7 @@ def test_endless_phase_hits_the_iteration_limit(monkeypatch, rhs):
 
     calls = []
 
-    def endless(rc, allowed, eps):
+    def endless(rc, allowed, labels, eps):
         calls.append(1)
         return 1
 
@@ -541,7 +564,8 @@ def test_general_mode_with_disjoint_sets_battery():
 # -- selection rules against plain-loop references ---------------------------
 #
 # The references are plain per-index loops; the numpy rules must pick
-# exactly the same index, including on exact ties.
+# exactly the same index, including on exact ties, which the float rules
+# settle by the lowest label.
 
 PIVOT_TOL, HARRIS_SLACK, TINY = 1e-9, 1e-9, 1e-11
 
@@ -558,11 +582,14 @@ RHS = st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.0, 1e-10, 4.0, 1e8])
 SMALL_ENTRIES = st.sampled_from([0.0, -1.0, 1e-9, 5e-10, 1e-10, 2e-12])
 
 
-def ref_price_dantzig(rc, allowed, eps):
-    enter, best = -1, -eps
+def ref_price_dantzig(rc, allowed, labels, eps):
+    enter = -1
     for j in range(len(rc)):
-        if allowed[j] and rc[j] < best:
-            best, enter = rc[j], j
+        if allowed[j] and rc[j] < -eps and (
+            enter < 0 or rc[j] < rc[enter]
+            or rc[j] == rc[enter] and labels[j] < labels[enter]
+        ):
+            enter = j
     return enter
 
 
@@ -619,14 +646,15 @@ def ref_polish_row(rhs, floor):
     return leave
 
 
-def ref_polish_col(row, rc, allowed):
+def ref_polish_col(row, rc, allowed, labels):
     enter, best = -1, None
     for j in range(len(row)):
         a = row[j]
         if allowed[j] and a < -PIVOT_TOL:
             ratio = rc[j] / (-a)
-            if best is None or ratio < best or (
-                ratio == best and abs(a) > abs(row[enter])
+            if best is None or ratio < best or ratio == best and (
+                abs(a) > abs(row[enter])
+                or abs(a) == abs(row[enter]) and labels[j] < labels[enter]
             ):
                 best, enter = ratio, j
     return enter
@@ -634,7 +662,7 @@ def ref_polish_col(row, rc, allowed):
 
 def vectors(draw, *elements):
     # Equal-length vectors, repeated whole half the time so that every
-    # candidate has an identical twin and only the first-index rule decides.
+    # candidate has an identical twin and only the label rule decides.
     n = draw(st.integers(1, 8))
     reps = draw(st.integers(1, 2))
     return [np.tile(draw(st.lists(e, min_size=n, max_size=n)), reps) for e in elements]
@@ -657,12 +685,14 @@ def priced_row(draw):
 @given(priced_row(), st.data())
 def test_pricing_rules_match_loops(data, draw):
     rc, _, allowed = data
-    for eps in (1e-9, 0.0):
-        assert price_dantzig(rc, allowed, eps) == ref_price_dantzig(rc, allowed, eps)
-    # Bland's rule prices the exact path's condensed columns: integer
-    # numerators over a positive denominator, each slot labelled by its
-    # variable, with ``allowed`` indexed by label.
+    # Each slot is labelled by its variable, in any order.
     labels = draw.draw(st.permutations(range(3 * rc.size)))[: rc.size]
+    for eps in (1e-9, 0.0):
+        assert price_dantzig(rc, allowed, np.array(labels), eps) == ref_price_dantzig(
+            rc, allowed, labels, eps)
+    # Bland's rule prices the exact path's condensed columns: integer
+    # numerators over a positive denominator, with ``allowed`` indexed by
+    # label.
     by_label = draw.draw(st.lists(st.booleans(), min_size=3 * rc.size,
                                   max_size=3 * rc.size))
     exact = [Fraction(v) for v in rc]
@@ -676,10 +706,11 @@ def test_pricing_rules_match_loops(data, draw):
 @settings(max_examples=300, deadline=None)
 @given(column_with_rhs())
 def test_ratio_tests_match_loops(data):
+    # With every bound infinite the bounded test is the plain Harris test.
     col, rhs, _ = data
-    assert leave_harris(col, rhs, PIVOT_TOL, HARRIS_SLACK, TINY) == ref_leave_harris(
-        col, rhs
-    )
+    inf = np.full(col.size, math.inf)
+    assert leave_bounded(col, rhs, inf, math.inf, PIVOT_TOL, HARRIS_SLACK, TINY) == (
+        ref_leave_harris(col, rhs), False)
 
 
 def ref_leave_bounded(col, rhs, upper, bound):
@@ -729,12 +760,15 @@ def test_exact_bland_ratios_are_not_rounded():
 
 
 @settings(max_examples=300, deadline=None)
-@given(priced_row(), st.lists(RHS | ENTRIES | st.just(-1e-11), min_size=1, max_size=12))
-def test_dual_polish_rules_match_loops(data, rhs):
+@given(priced_row(), st.lists(RHS | ENTRIES | st.just(-1e-11), min_size=1, max_size=12),
+       st.data())
+def test_dual_polish_rules_match_loops(data, rhs, draw):
     rc, row, allowed = data
     rhs = np.array(rhs)
     assert polish_row(rhs, -1e-11) == ref_polish_row(rhs, -1e-11)
-    assert polish_col(row, rc, allowed, PIVOT_TOL) == ref_polish_col(row, rc, allowed)
+    labels = draw.draw(st.permutations(range(3 * rc.size)))[: rc.size]
+    assert polish_col(row, rc, allowed, np.array(labels), PIVOT_TOL) == ref_polish_col(
+        row, rc, allowed, labels)
 
 
 @pytest.mark.parametrize(
