@@ -10,9 +10,9 @@ are deterministic JSON/CSV.
 
 Exit codes: 0 for a solved problem with a verified dual certificate (or
 a completed check), 2 when the admissible class is empty, 1 for
-malformed input, 3 when the solver fails, 4 when a solve, a sweep row or
-one of the solves of a reduction ends optimal but its certificate fails
-verification.
+malformed input, 3 when the solver fails or runs out of memory, 4 when a
+solve, a sweep row or one of the solves of a reduction ends optimal but
+its certificate fails verification.
 """
 
 from __future__ import annotations
@@ -460,6 +460,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
     except SimplexError as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_ERROR
+    except MemoryError as exc:
+        # numpy names the array it could not allocate; a bare MemoryError
+        # says nothing.
+        print(f"error: solver failed: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_SOLVER_ERROR
 
 

@@ -12,10 +12,14 @@ so the spectral rows are the primal form's only rows.
 Two formulations are built from the same pairing data: the primal form
 in function values and an independent Fourier-side form in spectrum
 values; their agreement is the standing cross-check.  By default ``solve``
-picks the form from its input: a float problem gets the Fourier form when
-it has fewer rows than the primal form has variables (in Delsarte mode
-unless Ω₊ = {0}), an exact one gets the primal form, so that a group and
-its subgroups solve LPs whose irrational cosines are lifted the same way.
+picks the form from its input.  A float problem with orbits in exactly
+one sign set first tries the primal form restricted to the orbits in both
+sets (the Turán program on Ω₊ ∩ Ω₋, whose class lies inside the
+problem's), kept only when its certificate holds on the full primal form.
+Otherwise a float problem gets the Fourier form when it has fewer rows
+than the primal form has variables (in Delsarte mode unless Ω₊ = {0}),
+and an exact one gets the primal form, so that a group and its subgroups
+solve LPs whose irrational cosines are lifted the same way.
 A dense two-phase simplex is the single solving engine; it pivots either
 in float64 on a tableau of the nonbasic columns only (bounded variables,
 Dantzig pricing, Harris ratio test) or in exact arithmetic on a
@@ -45,6 +49,7 @@ from __future__ import annotations
 import math
 import operator
 import time
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -65,9 +70,12 @@ FULL = "FULL"
 SAME = "SAME"
 
 # Steps (pivots and bound flips) per phase, times m + ncols, before a
-# solve gives up.  The most measured over the test suite and one pass of
-# every benchmark workload is 3.1 (float, torus 8, N = 256, Delsarte
-# primal); an exact Z72 Delsarte solve takes 5.4 in its phase 1.
+# solve gives up.  One pass of every benchmark workload takes at most 0.59
+# (float) and 0.35 (exact) in a phase, and an exact Z72 Delsarte solve
+# 0.28.  The stalls of the explicit primal Delsarte form of [-1,1] on
+# torus 8 take far more in phase 2: 8.0 at N = 256 and 26.1 at N = 512,
+# the most in the test suite, and 70.5 at N = 1024; at N = 2048 that solve
+# passes the limit.
 PIVOTS_PER_COLUMN = 100
 
 # The float simplex drops the artificial columns of >= rows after phase 1
@@ -433,30 +441,31 @@ def leave_bounded(col: np.ndarray, rhs: np.ndarray, upper: np.ndarray,
     ``bound``, with basic variable i in [0, upper[i]].
 
     A positive entry drives its basic variable down to 0 and a negative
-    one up to a finite ``upper``: either is a positive entry a over the
-    distance b left.  Pass one takes the smallest (b + slack) / a over
-    entries above ``pivot_tol``, pass two the first largest entry among
-    the rows with b / a within it; with no entry above ``pivot_tol``, the
-    first largest above ``tiny`` leaves.  Returns the leaving row and
-    whether it leaves at its upper bound, or (-1, False) when the entering
-    variable reaches ``bound`` first (a bound flip) or nothing blocks it.
+    one up to ``upper``: either is the entry's size a over the distance b
+    left, which is infinite on a rising row with no upper bound.  Pass
+    one takes the smallest (b + slack) / a over entries above
+    ``pivot_tol``, pass two the first largest entry among the rows with
+    b / a within it; when pass one finds no finite ratio, the first
+    largest entry above ``tiny`` with a finite b leaves.  Returns the
+    leaving row and whether it leaves at its upper bound, or (-1, False)
+    when the entering variable reaches ``bound`` first (a bound flip) or
+    nothing blocks it.
     """
-    rises = (col < 0) & (upper < np.inf)
-    a = np.where(rises, -col, col)
-    b = np.where(rises, upper - rhs, rhs)
+    a = np.abs(col)
+    b = np.where(col < 0, upper - rhs, rhs)
     rows = (a > pivot_tol).nonzero()[0]
-    if rows.size:
-        ar, br = a[rows], b[rows]
-        theta = ((br + slack) / ar).min()
+    ar, br = a[rows], b[rows]
+    theta = ((br + slack) / ar).min(initial=np.inf)
+    if theta < np.inf:
         row = int(rows[np.where(br / ar <= theta, ar, 0.0).argmax()])
     else:
-        rows = (a > tiny).nonzero()[0]
+        rows = ((a > tiny) & (b < np.inf)).nonzero()[0]
         if rows.size == 0:
             return -1, False
         row = int(rows[a[rows].argmax()])
     if bound <= b[row] / a[row]:
         return -1, False
-    return row, bool(rises[row])
+    return row, bool(col[row] < 0)
 
 
 def simplex_solve(lp: LinearProgram) -> RawOptimum:
@@ -549,11 +558,12 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     update = np.empty_like(T)  # rank-1 update buffer, reused by every pivot
     spread = np.zeros(data.shape)  # set_objective's tableau by variable index
 
-    def pivot(leave: int, q: int) -> None:
-        # Column q first becomes the leaving variable's unit column; the
-        # update then gives it 1/p on the pivot row and -col/p elsewhere.
-        col = T[:, q].copy()
-        p = col[leave]
+    def pivot(leave: int, q: int, col: np.ndarray) -> None:
+        # ``col`` is a copy of column q, taken before any complement() of
+        # the leaving row, so the pivot is read from the tableau.  Column q
+        # first becomes the leaving variable's unit column; the update then
+        # gives it 1/p on the pivot row and -col/p elsewhere.
+        p = T[leave, q]
         col[leave] = 0.0
         T[:, q] = 0.0
         T[leave, q] = 1.0
@@ -619,13 +629,14 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
             if q < 0:
                 return pivots
             bound = up[nonbasic[q]]
+            col = T[:, q].copy()
             leave, at_upper = leave_bounded(
-                T[:m, q], values, up_basic, bound, pivot_tol, harris_slack, tiny,
+                col[:m], values, up_basic, bound, pivot_tol, harris_slack, tiny,
             )
             if leave >= 0:
                 if at_upper:
                     complement(row=leave)
-                pivot(leave, q)
+                pivot(leave, q, col)
                 pivots += 1
                 iterations += 1
             elif bound < np.inf:
@@ -685,7 +696,7 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
         q = polish_col(T[leave, :k], T[m, :k], free, nonbasic[:k], pivot_tol)
         if q < 0:
             raise SimplexError("dual polish found an infeasible row")
-        pivot(leave, q)
+        pivot(leave, q, T[:, q].copy())
         iterations += 1
         polish += 1
         if polish > polish_limit:
@@ -1025,9 +1036,9 @@ def _reconstruct(spec: ProblemSpec, lp: LinearProgram, x: Sequence, formulation:
 
 
 def _auto_formulation(spec: ProblemSpec) -> str:
-    """The form ``solve`` takes by default: for a float problem the Fourier
-    form when it has fewer rows than the primal form has variables, else
-    primal; primal for an exact problem.
+    """The form ``solve`` falls back to by default: for a float problem the
+    Fourier form when it has fewer rows than the primal form has
+    variables, else primal; primal for an exact problem.
 
     The primal form has one row per character orbit and the Fourier form
     one variable per character orbit, so this picks the smaller tableau.
@@ -1038,7 +1049,9 @@ def _auto_formulation(spec: ProblemSpec) -> str:
     d < a.  Exact problems stay primal because a group and a subgroup
     solved in different forms lift different irrational cosines to
     ``Fraction``, and the reduction identity would then lose exact
-    equality.
+    equality.  A float problem first tries its Turán restriction
+    (``_tries_restriction``) and falls back to this form only when the
+    restriction's certificate fails on the full program.
     """
     if spec.arithmetic == EXACT:
         return "primal"
@@ -1047,28 +1060,91 @@ def _auto_formulation(spec: ProblemSpec) -> str:
     return "primal"
 
 
+def _tries_restriction(spec: ProblemSpec) -> bool:
+    """Whether the default float solve first tries the Turán restriction:
+    the primal form on orbit 0 and the a nonzero orbits in both sign sets.
+
+    It is tried when some orbit lies in exactly one set (b + c > 0, so the
+    restriction has fewer variables than the primal form) and when its
+    1 + a variables are fewer than the Fourier form's 1 + b + c + d rows:
+    the same smaller-tableau rule as ``_auto_formulation``.
+    """
+    plus, minus = spec.omega_plus.indices, spec.omega_minus.indices
+    if spec.arithmetic == EXACT or plus == minus:
+        return False
+    reps = _orbits(spec.group.size, spec.group.neg_index)[0]
+    a = sum(1 for r in reps[1:] if r in plus and r in minus)
+    return 1 + a < len(reps) - a
+
+
+def _solve_restricted(lp: LinearProgram) -> RawOptimum:
+    """Solve the primal form ``lp`` with every orbit in one sign set only
+    held at 0, and read the result as a candidate optimum of ``lp``.
+
+    Each held variable has 0 as a bound ([-1, 0] or [0, 1]), so the
+    restriction is ``lp``'s columns of orbit 0 and of the orbits in both
+    sets: the Turán program on Ω₊ ∩ Ω₋.  Its optimum is extended by zeros,
+    and each held column's reduced cost r = c_j - y . A_j under the
+    restriction's row duals y becomes that column's bound multiplier:
+    the upper one for a [-1, 0] orbit, the lower one, -r, for a [0, 1]
+    orbit.  Stationarity then holds on every held column by
+    construction, so the candidate is optimal exactly when these
+    multipliers have the right sign: when every held orbit prices out.
+    The caller decides that with ``verify_certificate`` on ``lp``.
+    """
+    lo, hi = np.array(lp.var_bounds).T
+    keep = ((lo != 0) & (hi != 0)).nonzero()[0]
+    raw = simplex_solve(LinearProgram(
+        var_labels=tuple([lp.var_labels[j] for j in keep]),
+        var_bounds=tuple([lp.var_bounds[j] for j in keep]),
+        row_labels=lp.row_labels,
+        A=lp.A[:, keep],
+        senses=lp.senses,
+        rhs=lp.rhs,
+        objective=tuple([lp.objective[j] for j in keep]),
+        objective_scale=lp.objective_scale,
+        arithmetic=lp.arithmetic,
+    ))
+    rc = np.array(lp.objective) - np.array(raw.row_duals) @ lp.A
+    x = np.zeros(lp.num_vars)
+    lower, upper = np.where(lo == 0, 0.0 - rc, 0.0), np.where(hi == 0, rc, 0.0)
+    x[keep], lower[keep], upper[keep] = raw.x, raw.lower_duals, raw.upper_duals
+    return replace(raw, x=tuple(x.tolist()), lower_duals=tuple(lower.tolist()),
+                   upper_duals=tuple(upper.tolist()))
+
+
 def solve(spec: ProblemSpec, formulation: str = "auto") -> Solution:
     """Build, solve and validate one extremal problem.
 
-    ``formulation`` is "primal", "fourier" or "auto" (``_auto_formulation``):
-    a float problem solves the Fourier form when it has fewer rows than
-    the primal form has variables, else primal, and an exact problem
-    always solves the primal form.  A float
-    Delsarte problem gets the Fourier form unless Ω₊ = {0}; a Turan
-    problem gets it only when Ω₊ covers more than half of the nonzero
-    negation orbits, so Turan intervals on a torus grid stay primal.
-    ``Solution.formulation`` records the form solved.
+    ``formulation`` is "primal", "fourier" or "auto".  By default a float
+    problem with orbits in exactly one sign set first solves its Turán
+    restriction (``_tries_restriction``, ``_solve_restricted``), and keeps
+    the result, as a "primal" solution of the full primal form, only when
+    ``verify_certificate`` passes on that form.  Otherwise (a
+    ``SimplexError`` in the restriction included) ``_auto_formulation``
+    picks the form: a float problem solves the Fourier form when it has
+    fewer rows than the primal form has variables, else primal, and an
+    exact problem always solves the primal form.  An explicit "primal"
+    or "fourier" solves that form alone.  ``Solution.formulation``
+    records the form solved.
 
     Class emptiness is a status, not an error: if the identity is not an
     admissible plus point the value is 0 by convention.
     """
     start = time.perf_counter()
+    restrict = formulation == "auto" and _tries_restriction(spec)
     if formulation == "auto":
         formulation = _auto_formulation(spec)
     builder = {"primal": build_primal, "fourier": build_fourier_form}.get(formulation)
     if builder is None:
         raise ValueError(f"unknown formulation {formulation!r}: primal, fourier or auto")
     try:
+        if restrict:
+            lp = build_primal(spec)
+            with suppress(SimplexError):  # a failed restriction falls back too
+                sol = _solution(spec, lp, _solve_restricted(lp), "primal", start)
+                if sol.certificate_verdict:
+                    return sol
         lp = builder(spec)
     except ClassEmptyProblem:
         return Solution(
@@ -1086,7 +1162,13 @@ def solve(spec: ProblemSpec, formulation: str = "auto") -> Solution:
             var_values=None,
             class_verdict=None,
         )
-    raw = simplex_solve(lp)
+    return _solution(spec, lp, simplex_solve(lp), formulation, start)
+
+
+def _solution(spec: ProblemSpec, lp: LinearProgram, raw: RawOptimum,
+              formulation: str, start: float) -> Solution:
+    """The ``Solution`` of an optimum ``raw`` of ``lp``, with its extremal
+    function, certificate, class verdict and certificate verdict."""
     exact = spec.arithmetic == EXACT
     h = lp.objective_scale
 

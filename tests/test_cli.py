@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delsarte import cli, reduction
+from delsarte import cli, reduction, solver
 from delsarte.cli import emit_figure_data, main, parse_discrete_set
 from delsarte.groups import FiniteAbelianGroup
 from delsarte.harmonic import fejer_kernel
@@ -100,6 +100,22 @@ def test_solve_solver_failure_exits_three(tmp_path, capsys, monkeypatch):
     assert code == cli.EXIT_SOLVER_ERROR == 3
     assert stdout == ""
     assert err == "error: solver failed: iteration limit exceeded\n"
+    assert not (tmp_path / "result.json").exists()
+
+
+def test_solve_out_of_memory_exits_three(tmp_path, capsys, monkeypatch):
+    def exhausted(lp):
+        raise MemoryError
+
+    monkeypatch.setattr(solver, "simplex_solve", exhausted)
+    code, stdout, err = run_cli(
+        capsys,
+        "solve", "--group", "Z8", "--omega-plus", "{-1,0,1}", "--out", str(tmp_path),
+    )
+    assert code == cli.EXIT_SOLVER_ERROR == 3
+    assert stdout == ""
+    assert err == "error: solver failed: out of memory\n"
+    assert "Traceback" not in err
     assert not (tmp_path / "result.json").exists()
 
 

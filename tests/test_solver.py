@@ -15,6 +15,7 @@ from _generators import (
     random_symmetric_set,
     scipy_reference_value,
 )
+from delsarte import solver
 from delsarte.classes import SymmetricSet, in_class
 from delsarte.discretize import TorusSpec, sample_set
 from delsarte.groups import FiniteAbelianGroup
@@ -27,6 +28,7 @@ from delsarte.solver import (
     ClassEmptyProblem,
     LinearProgram,
     ProblemSpec,
+    SimplexError,
     _auto_formulation,
     build_fourier_form,
     build_primal,
@@ -416,12 +418,14 @@ def test_lp_rows_reference_valid_variables_and_finite_bounds():
 
 
 @pytest.mark.parametrize(
-    "mode, formulation", [("delsarte", "fourier"), ("turan", "primal")],
+    "mode, formulation", [("delsarte", "primal"), ("turan", "primal")],
     ids=["delsarte-fourier", "turan-primal"],
 )
 def test_default_n1024_solves_in_fewer_rows_form(mode, formulation):
-    # Torus 8, N = 1024, through the default form.  Delsarte solves its
-    # Fourier LP (385 rows against the primal form's 513 variables); a Turan
+    # Torus 8, N = 1024, through the default form.  Delsarte's fewer-rows
+    # form is its Fourier LP (385 rows against the primal form's 513
+    # variables), but its Turan restriction (129 variables) prices every
+    # other orbit out, so the default keeps that primal solution; a Turan
     # interval leaves most orbits outside the set, so it stays primal (129
     # variables against 385 Fourier rows).
     sol, warning = solve_discretized(
@@ -437,8 +441,9 @@ def test_default_formulation_has_fewer_rows():
     # The default, checked against both builders: a float problem solves
     # the Fourier form when it has fewer rows than the primal form has
     # variables, ties going to primal (both forms have one row or variable
-    # per character orbit, so this is the smaller tableau); an exact one
-    # always solves the primal form.
+    # per character orbit, so this is the smaller tableau), unless its
+    # Turan restriction gives a primal solution whose certificate holds;
+    # an exact one always solves the primal form.
     z6 = FiniteAbelianGroup((6,))
     tie = ProblemSpec.general(z6, SymmetricSet.from_signed(z6, [-1, 0, 1]),
                               SymmetricSet.from_signed(z6, [-2, -1, 1, 2]))
@@ -462,7 +467,10 @@ def test_default_formulation_has_fewer_rows():
         fourier_rows = len(build_fourier_form(spec).rhs)
         sol = solve(spec)
         expected = "fourier" if fourier_rows < primal_vars else "primal"
-        assert sol.formulation == expected, (group, mode, primal_vars, fourier_rows)
+        if sol.formulation != expected:  # the restriction's solution, kept
+            held = [sol.var_values[j] for j in held_orbits(sol.lp)]
+            assert sol.formulation == "primal" and held and not any(held)
+            assert len(sol.var_values) - len(held) < fourier_rows
         assert sol.certificate_verdict.ok
         chosen[expected] += 1
         if fourier_rows < primal_vars and group.size <= 12:
@@ -502,6 +510,123 @@ def test_auto_formulation_keeps_the_row_count_rule(seed, mode):
         spec = ProblemSpec.general(group, plus, random_symmetric_set(group, rng, rng.random()))
     a, b, c, d, e = orbit_counts(spec)
     assert _auto_formulation(spec) == ("fourier" if 1 + b + c + 2 * d < e else "primal")
+
+
+def held_orbits(lp) -> list[int]:
+    """The primal form's variables with 0 as a bound: the orbits in one
+    sign set only, which the Turan restriction holds at 0."""
+    return [j for j, (lo, hi) in enumerate(lp.var_bounds) if lo == 0 or hi == 0]
+
+
+def test_default_delsarte_keeps_the_turan_restriction():
+    # [-1,1] on torus 8, N = 256: the Turan program on the 33 orbits of
+    # the interval prices out all 96 others, so the default returns its
+    # optimum as a solution of the full primal form.
+    dp = sample_set(parse_real_set("[-1,1]"), TorusSpec(Fraction(8), 256))
+    spec = ProblemSpec.delsarte(dp.group, SymmetricSet.from_signed(dp.group, dp.signed_members))
+    sol = solve(spec)
+    assert sol.formulation == "primal"
+    assert sol.lp.var_labels == build_primal(spec).var_labels and sol.lp.num_vars == 129
+    held = held_orbits(sol.lp)
+    assert len(held) == 96 and not any(sol.var_values[j] for j in held)
+    assert all(sol.dual_certificate.upper_bounds[j] > 0 for j in held)
+    assert sol.certificate_verdict.ok
+    assert sol.value == pytest.approx(solve(spec, "fourier").value, abs=1e-9)
+    assert sol.value == pytest.approx(scipy_reference_value(spec), abs=1e-8)
+
+
+def test_default_general_keeps_a_held_nonnegative_orbit():
+    # Z12 with orbit 6 in Ω₊ only ([0, 1], held at its lower bound), orbit
+    # 3 in Ω₋ only ([-1, 0]), orbits 4 and 5 in both: the restriction on
+    # orbits 0, 4 and 5 prices orbit 6 out with a positive lower
+    # multiplier.
+    z12 = FiniteAbelianGroup((12,))
+    spec = ProblemSpec.general(z12, SymmetricSet.from_signed(z12, [-5, -4, 0, 4, 5, 6]),
+                               SymmetricSet.from_signed(z12, [-5, -4, -3, 3, 4, 5]))
+    sol = solve(spec)
+    assert sol.formulation == "primal" and sol.certificate_verdict.ok
+    assert sol.lp.var_labels == (0, 3, 4, 5, 6)
+    assert sol.lp.var_bounds[1] == (-1.0, 0.0) and sol.lp.var_bounds[4] == (0.0, 1.0)
+    assert sol.var_values[1] == sol.var_values[4] == 0.0
+    assert sol.dual_certificate.lower_bounds[4] == pytest.approx(0.1547005383792515)
+    restricted = simplex_solve(build_primal(ProblemSpec.turan(
+        z12, SymmetricSet.from_signed(z12, [-5, -4, 0, 4, 5]))))
+    assert sol.stats.iterations == restricted.iterations
+    for form in ("primal", "fourier"):
+        assert sol.value == pytest.approx(solve(spec, form).value, abs=1e-9)
+    assert sol.value == pytest.approx(scipy_reference_value(spec), abs=1e-8)
+
+
+def test_default_falls_back_when_a_held_orbit_prices_in():
+    # Delsarte on Z10 with Ω₊ = {0, ±4}: the Turan optimum leaves orbit 5
+    # with reduced cost 2 - sqrt 5 < 0 at its upper bound 0, so the
+    # candidate fails verification and the default solves the Fourier form
+    # (d = 0 < a = 1), as it would without the restriction.
+    z10 = FiniteAbelianGroup((10,))
+    spec = ProblemSpec.delsarte(z10, SymmetricSet.from_signed(z10, [-4, 0, 4]))
+    lp = build_primal(spec)
+    y = simplex_solve(build_primal(ProblemSpec.turan(z10, spec.omega_plus))).row_duals
+    assert lp.objective[5] - np.dot(y, lp.A[:, 5]) == pytest.approx(2 - math.sqrt(5))
+    sol = solve(spec)
+    fourier = solve(spec, "fourier")
+    assert _auto_formulation(spec) == sol.formulation == "fourier"
+    assert sol.value == fourier.value and sol.var_values == fourier.var_values
+    assert sol.stats.iterations == fourier.stats.iterations
+    assert sol.certificate_verdict.ok
+    assert sol.value == pytest.approx(solve(spec, "primal").value, abs=1e-9)
+
+
+def test_default_falls_back_when_the_restriction_fails(monkeypatch):
+    # A restriction that raises has no certificate: the default solves the
+    # form it would solve without one.
+    def stalls(lp):
+        raise SimplexError("iteration limit exceeded")
+
+    spec = ProblemSpec.delsarte(Z8, OMEGA_Z8)
+    monkeypatch.setattr(solver, "_solve_restricted", stalls)
+    sol = solve(spec)
+    assert sol.formulation == "fourier" and sol.certificate_verdict.ok
+    assert sol.var_values == solve(spec, "fourier").var_values
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["delsarte", "general"]))
+def test_default_solve_equals_both_forms(seed, mode):
+    # Whichever path the default takes, its value is both explicit forms'
+    # with a verified certificate.  The restriction is priced here by its
+    # own rule: the Turan program on Ω₊ ∩ Ω₋ plus orbit 0, solved alone,
+    # and each held column's reduced cost summed over the full primal
+    # form.  When every held orbit prices out by a margin, the default
+    # must be that program's optimum; when one prices in, the default form.
+    rng = random.Random(seed)
+    group = random_group(rng, 48)
+    plus = random_symmetric_set(group, rng, rng.random(), ensure_zero=True)
+    if mode == "delsarte":
+        spec = ProblemSpec.delsarte(group, plus)
+    else:
+        spec = ProblemSpec.general(group, plus, random_symmetric_set(group, rng, rng.random()))
+    sol = solve(spec)
+    assert sol.certificate_verdict.ok
+    for form in ("primal", "fourier"):
+        assert sol.value == pytest.approx(solve(spec, form).value, abs=1e-9), form
+    a, b, c, d, _ = orbit_counts(spec)
+    if not (b + c > 0 and 1 + a < 1 + b + c + d):
+        assert sol.formulation == _auto_formulation(spec)
+        return
+    lp = build_primal(spec)
+    both = SymmetricSet.from_indices(
+        group, {0} | (set(spec.omega_plus.indices) & set(spec.omega_minus.indices)))
+    turan = simplex_solve(build_primal(ProblemSpec.turan(group, both)))
+    priced = []  # > 0 where the held orbit prices out
+    for j in held_orbits(lp):
+        r = lp.objective[j] - sum(y * lp.A[i, j] for i, y in enumerate(turan.row_duals))
+        priced.append(r if lp.var_bounds[j][1] == 0 else -r)
+    if min(priced) > 1e-6:
+        assert sol.formulation == "primal"
+        assert sol.stats.iterations == turan.iterations
+        assert sol.value == float(lp.objective_scale) * turan.objective
+    elif min(priced) < -1e-6:
+        assert sol.formulation == _auto_formulation(spec)
 
 
 @pytest.mark.parametrize("mode", ["turan", "general"])
