@@ -15,7 +15,8 @@ values; their agreement is the standing cross-check.  By default ``solve``
 picks the form from its input.  A float problem with orbits in exactly
 one sign set first tries the primal form restricted to the orbits in both
 sets (the Turán program on Ω₊ ∩ Ω₋, whose class lies inside the
-problem's), kept only when its certificate holds on the full primal form.
+problem's), kept only when every orbit it leaves out prices out and its
+certificate holds on the full primal form.
 Otherwise a float problem gets the Fourier form when it has fewer rows
 than the primal form has variables (in Delsarte mode unless Ω₊ = {0}),
 and an exact one gets the primal form, so that a group and its subgroups
@@ -49,7 +50,6 @@ from __future__ import annotations
 import math
 import operator
 import time
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -1077,9 +1077,10 @@ def _tries_restriction(spec: ProblemSpec) -> bool:
     return 1 + a < len(reps) - a
 
 
-def _solve_restricted(lp: LinearProgram) -> RawOptimum:
+def _solve_restricted(lp: LinearProgram) -> RawOptimum | None:
     """Solve the primal form ``lp`` with every orbit in one sign set only
-    held at 0, and read the result as a candidate optimum of ``lp``.
+    held at 0, and return the result as an optimum of ``lp`` when every
+    held orbit prices out; None when one prices in or the solve fails.
 
     Each held variable has 0 as a bound ([-1, 0] or [0, 1]), so the
     restriction is ``lp``'s columns of orbit 0 and of the orbits in both
@@ -1088,26 +1089,33 @@ def _solve_restricted(lp: LinearProgram) -> RawOptimum:
     restriction's row duals y becomes that column's bound multiplier:
     the upper one for a [-1, 0] orbit, the lower one, -r, for a [0, 1]
     orbit.  Stationarity then holds on every held column by
-    construction, so the candidate is optimal exactly when these
-    multipliers have the right sign: when every held orbit prices out.
-    The caller decides that with ``verify_certificate`` on ``lp``.
+    construction, so the extension is optimal exactly when these
+    multipliers are nonnegative.  They are held to the simplex's own
+    pricing tolerance, 1e-9, not to the problem's ``tolerance``, so the
+    value kept never depends on the tolerance a certificate is checked
+    to.
     """
     lo, hi = np.array(lp.var_bounds).T
     keep = ((lo != 0) & (hi != 0)).nonzero()[0]
-    raw = simplex_solve(LinearProgram(
-        var_labels=tuple([lp.var_labels[j] for j in keep]),
-        var_bounds=tuple([lp.var_bounds[j] for j in keep]),
-        row_labels=lp.row_labels,
-        A=lp.A[:, keep],
-        senses=lp.senses,
-        rhs=lp.rhs,
-        objective=tuple([lp.objective[j] for j in keep]),
-        objective_scale=lp.objective_scale,
-        arithmetic=lp.arithmetic,
-    ))
+    try:
+        raw = simplex_solve(LinearProgram(
+            var_labels=tuple([lp.var_labels[j] for j in keep]),
+            var_bounds=tuple([lp.var_bounds[j] for j in keep]),
+            row_labels=lp.row_labels,
+            A=lp.A[:, keep],
+            senses=lp.senses,
+            rhs=lp.rhs,
+            objective=tuple([lp.objective[j] for j in keep]),
+            objective_scale=lp.objective_scale,
+            arithmetic=lp.arithmetic,
+        ))
+    except SimplexError:
+        return None
     rc = np.array(lp.objective) - np.array(raw.row_duals) @ lp.A
-    x = np.zeros(lp.num_vars)
     lower, upper = np.where(lo == 0, 0.0 - rc, 0.0), np.where(hi == 0, rc, 0.0)
+    if min(lower.min(), upper.min()) < -1e-9:  # 0 on the kept columns
+        return None
+    x = np.zeros(lp.num_vars)
     x[keep], lower[keep], upper[keep] = raw.x, raw.lower_duals, raw.upper_duals
     return replace(raw, x=tuple(x.tolist()), lower_duals=tuple(lower.tolist()),
                    upper_duals=tuple(upper.tolist()))
@@ -1120,11 +1128,13 @@ def solve(spec: ProblemSpec, formulation: str = "auto") -> Solution:
     problem with orbits in exactly one sign set first solves its Turán
     restriction (``_tries_restriction``, ``_solve_restricted``), and keeps
     the result, as a "primal" solution of the full primal form, only when
-    ``verify_certificate`` passes on that form.  Otherwise (a
+    every held orbit prices out to the simplex's pricing tolerance and
+    ``verify_certificate`` then passes on that form.  Otherwise (a
     ``SimplexError`` in the restriction included) ``_auto_formulation``
-    picks the form: a float problem solves the Fourier form when it has
-    fewer rows than the primal form has variables, else primal, and an
-    exact problem always solves the primal form.  An explicit "primal"
+    picks the form, reusing the primal form already built: a float
+    problem solves the Fourier form when it has fewer rows than the
+    primal form has variables, else primal, and an exact problem always
+    solves the primal form.  An explicit "primal"
     or "fourier" solves that form alone.  ``Solution.formulation``
     records the form solved.
 
@@ -1141,11 +1151,13 @@ def solve(spec: ProblemSpec, formulation: str = "auto") -> Solution:
     try:
         if restrict:
             lp = build_primal(spec)
-            with suppress(SimplexError):  # a failed restriction falls back too
-                sol = _solution(spec, lp, _solve_restricted(lp), "primal", start)
+            raw = _solve_restricted(lp)
+            if raw is not None:
+                sol = _solution(spec, lp, raw, "primal", start)
                 if sol.certificate_verdict:
                     return sol
-        lp = builder(spec)
+        if not restrict or formulation != "primal":
+            lp = builder(spec)
     except ClassEmptyProblem:
         return Solution(
             spec=spec,

@@ -577,16 +577,60 @@ def test_default_falls_back_when_a_held_orbit_prices_in():
 
 
 def test_default_falls_back_when_the_restriction_fails(monkeypatch):
-    # A restriction that raises has no certificate: the default solves the
-    # form it would solve without one.
-    def stalls(lp):
-        raise SimplexError("iteration limit exceeded")
-
+    # A restriction whose simplex raises has no certificate: the default
+    # solves the form it would solve without one.
     spec = ProblemSpec.delsarte(Z8, OMEGA_Z8)
-    monkeypatch.setattr(solver, "_solve_restricted", stalls)
+    full = build_primal(spec).num_vars
+    assert solve(spec).formulation == "primal"
+
+    def stalls_when_restricted(lp):
+        if lp.num_vars < full:
+            raise SimplexError("iteration limit exceeded")
+        return simplex_solve(lp)
+
+    monkeypatch.setattr(solver, "simplex_solve", stalls_when_restricted)
     sol = solve(spec)
     assert sol.formulation == "fourier" and sol.certificate_verdict.ok
     assert sol.var_values == solve(spec, "fourier").var_values
+
+
+def test_default_primal_fallback_builds_the_primal_form_once(monkeypatch):
+    # General on Z5 with orbit 1 in Ω₊ only and orbit 2 in Ω₋ only: the
+    # restriction keeps orbit 0 alone, a held orbit prices in, and the
+    # default form is primal (d = a = 0), so the fallback solves the
+    # primal form the restriction was sliced from.
+    z5 = FiniteAbelianGroup((5,))
+    spec = ProblemSpec.general(z5, SymmetricSet.from_signed(z5, [-1, 0, 1]),
+                               SymmetricSet.from_signed(z5, [-2, 2]))
+    assert solver._solve_restricted(build_primal(spec)) is None
+    builds = []
+    monkeypatch.setattr(solver, "build_primal", lambda s: builds.append(s) or build_primal(s))
+    sol = solve(spec)
+    assert builds == [spec]
+    assert sol.formulation == _auto_formulation(spec) == "primal"
+    assert sol.certificate_verdict.ok
+    assert sol.var_values == solve(spec, "primal").var_values
+
+
+def test_default_prices_held_orbits_whatever_the_tolerance():
+    # Delsarte on Z31 with Ω₊ = {0, ±2, ±3, ±5, ±11, ±13}: the Turan
+    # optimum leaves a held orbit with multiplier -0.00216, and its value
+    # is 1.8e-4 below the problem's.  A loose tolerance lets that
+    # candidate pass verify_certificate, so the restriction is priced to
+    # the simplex's own tolerance instead: the default falls back to the
+    # Fourier form, and its value does not depend on the tolerance.
+    z31 = FiniteAbelianGroup((31,))
+    plus = SymmetricSet.from_signed(z31, [0, 2, -2, 3, -3, 5, -5, 11, -11, 13, -13])
+    tight = ProblemSpec.delsarte(z31, plus)
+    lp = build_primal(ProblemSpec.turan(z31, plus))
+    turan = float(lp.objective_scale) * simplex_solve(lp).objective
+    assert solve(tight, "fourier").value - turan == pytest.approx(1.8391e-4, rel=1e-3)
+    for tol in (1e-9, 1e-3, 1e-2):
+        spec = ProblemSpec.delsarte(z31, plus, tolerance=tol)
+        sol, fourier = solve(spec), solve(spec, "fourier")
+        assert sol.formulation == "fourier" and sol.certificate_verdict.ok
+        assert sol.value == fourier.value
+        assert sol.value == pytest.approx(solve(spec, "primal").value, abs=1e-9)
 
 
 @settings(max_examples=80, deadline=None)
