@@ -90,11 +90,27 @@ class GroupFunction:
 
     @staticmethod
     def from_csv(group, path: str | Path) -> "GroupFunction":
+        """Read what ``to_csv`` writes.  Every index in 0..|G|-1 must appear
+        exactly once, with a numeric value; otherwise this raises
+        ``ValueError`` naming the line."""
         values = np.zeros(group.size)
+        seen: set[int] = set()
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
-                values[int(row["index"])] = float(row["value"])
+                where = f"{path}, line {reader.line_num}"
+                try:
+                    index, value = int(row["index"]), float(row["value"])
+                except (KeyError, TypeError, ValueError):
+                    raise ValueError(f"{where}: no integer index and numeric value") from None
+                if not 0 <= index < group.size or index in seen:
+                    raise ValueError(
+                        f"{where}: index {index} is not a new index in 0..{group.size - 1}")
+                seen.add(index)
+                values[index] = value
+        if len(seen) < group.size:
+            missing = min(set(range(group.size)) - seen)
+            raise ValueError(f"{path}: no row has index {missing}")
         return GroupFunction(group, values)
 
 

@@ -12,11 +12,11 @@ so the spectral rows are the primal form's only rows.
 Two formulations are built from the same pairing data: the primal form
 in function values and an independent Fourier-side form in spectrum
 values; their agreement is the standing cross-check.  By default ``solve``
-picks the form from its input.  A float problem with orbits in exactly
-one sign set first tries the primal form restricted to the orbits in both
-sets (the Turán program on Ω₊ ∩ Ω₋, whose class lies inside the
-problem's), kept only when every orbit it leaves out prices out and its
-certificate holds on the full primal form.
+picks the forms from its input (``_default_forms``).  A float problem
+with orbits in exactly one sign set first tries the primal form
+restricted to the orbits in both sets (the Turán program on Ω₊ ∩ Ω₋,
+whose class lies inside the problem's), kept only when every orbit it
+leaves out prices out and its certificate holds on the full primal form.
 Otherwise a float problem gets the Fourier form when it has fewer rows
 than the primal form has variables (in Delsarte mode unless Ω₊ = {0}),
 and an exact one gets the primal form, so that a group and its subgroups
@@ -80,9 +80,13 @@ PIVOTS_PER_COLUMN = 100
 
 # The float simplex drops the artificial columns of >= rows after phase 1
 # only when they hold at least this many tableau entries (rows times
-# columns).  The copy and a dozen numpy calls cost the benchmark programs
-# of under 40 rows 2-3% of their simplex time; on those above the gate
-# (97 rows and up) the narrower rank-1 updates saved 3-24%.
+# columns).  On the seed-1 float programs of the benchmark (sums of
+# per-program simplex minima over 7 and 11 alternating rounds, one BLAS
+# thread), dropping always made group-battery's 1,200 small programs
+# 4.1-4.2% slower (437 -> 455 ms), and never dropping made torus-grid's 14
+# programs, most of them above the gate, 2.6-3.6% slower (56 -> 57-58 ms).
+# Pivots and values do not depend on the gate; a row dual read from the
+# kept column instead of the surplus column can move in the last bit.
 DROP_MIN_ENTRIES = 1024
 
 
@@ -233,12 +237,18 @@ def _cosine_matrix(group, elements: Sequence[int], characters: Sequence[int],
 # held until the next full garbage collection.
 
 
-def _primal_vars(spec: ProblemSpec) -> tuple[list[int], dict[int, int]]:
-    """The primal form's variables, the element orbit representatives in
-    Ω₊ or Ω₋ and orbit 0, and the sizes of all element orbits."""
+def _orbit_split(spec: ProblemSpec) -> tuple[list[int], list[int], list[int], dict[int, int]]:
+    """The nonzero element orbit representatives in both sign sets, in
+    exactly one and in neither, each in increasing order, and the sizes of
+    all element orbits.  The primal form has a variable for orbit 0 and
+    each orbit in a sign set, the Fourier form a row for orbit 0 and each
+    orbit not in both."""
     plus, minus = spec.omega_plus.indices, spec.omega_minus.indices
     reps, rep_size = _orbits(spec.group.size, spec.group.neg_index)
-    return [r for r in reps if r == 0 or r in plus or r in minus], rep_size
+    both, single, neither = split = ([], [], [])
+    for r in reps[1:]:
+        split[2 - (r in plus) - (r in minus)].append(r)
+    return both, single, neither, rep_size
 
 
 def build_primal(spec: ProblemSpec) -> LinearProgram:
@@ -257,7 +267,8 @@ def build_primal(spec: ProblemSpec) -> LinearProgram:
     zero = Fraction(0) if exact else 0.0
     plus, minus = spec.omega_plus.indices, spec.omega_minus.indices
 
-    var_reps, rep_size = _primal_vars(spec)
+    both, single, _, rep_size = _orbit_split(spec)
+    var_reps = [0] + sorted(both + single)
     bounds = tuple([
         (one, one) if r == 0
         else (-one if r in minus else zero, one if r in plus else zero)
@@ -281,40 +292,15 @@ def build_primal(spec: ProblemSpec) -> LinearProgram:
     )
 
 
-def _fourier_rows(spec: ProblemSpec) -> tuple[list[int], list[tuple]]:
-    """Element orbit representatives of the Fourier form, and its rows as
-    (position in the representatives, label, sense).
-
-    Element rows of the orbit matrix are |G| f(g) in the spectrum
-    variables: element 0 gives the normalization row, each nonzero orbit
-    outside one of Ω₊ and Ω₋ a sign row (``<=`` outside Ω₊, ``>=``
-    outside Ω₋), and each one outside both the ``=`` row f(g) = 0, so
-    there are 1 + (nonzero orbits not in both sets) rows.
-    """
-    group = spec.group
-    plus, minus = spec.omega_plus.indices, spec.omega_minus.indices
-    reps = [0] + [
-        g for g in _orbits(group.size, group.neg_index)[0]
-        if g != 0 and not (g in plus and g in minus)
-    ]
-    rows = [(0, ("normalization",), "=")]
-    for i, g in enumerate(reps[1:], 1):
-        if g in minus:
-            rows.append((i, ("sign_plus", g), "<="))
-        elif g in plus:
-            rows.append((i, ("sign_minus", g), ">="))
-        else:
-            rows.append((i, ("zero", g), "="))
-    return reps, rows
-
-
 def build_fourier_form(spec: ProblemSpec) -> LinearProgram:
     """Independent reformulation in spectrum values on character orbits.
 
     Variables are the h-free transform values, nonnegative by positive
-    definiteness; the normalization row encodes f(0) = 1, the sign rows
-    constrain the reconstructed function outside one sign set and the
-    zero rows (right side 0, sense ``=``) set it to 0 outside both.
+    definiteness.  The rows are |G| f(g) on element 0 and on each nonzero
+    orbit outside Ω₊ ∩ Ω₋: the normalization row encodes f(0) = 1, the
+    sign rows (``<=`` outside Ω₊, ``>=`` outside Ω₋) constrain the
+    reconstructed function outside one sign set and the zero rows (right
+    side 0, sense ``=``) set it to 0 outside both.
     Equivalence with the primal form follows from the inversion formula.
     """
     group = spec.group
@@ -329,8 +315,15 @@ def build_fourier_form(spec: ProblemSpec) -> LinearProgram:
     big = Fraction(n) if exact else float(n)
     bounds = tuple([(zero, big) for _ in chi_reps])
 
-    reps, rows = _fourier_rows(spec)
-    picks, labels, senses = zip(*rows)
+    _, single, neither, _ = _orbit_split(spec)
+    reps = [0] + sorted(single + neither)
+    plus, minus = spec.omega_plus.indices, spec.omega_minus.indices
+    labels, senses = zip(*[(("normalization",), "=")] + [
+        (("sign_plus", g), "<=") if g in minus
+        else (("sign_minus", g), ">=") if g in plus
+        else (("zero", g), "=")
+        for g in reps[1:]
+    ])
     sizes = np.array([chi_size[k] for k in chi_reps], dtype=object if exact else float)
 
     objective = tuple([one if k == 0 else zero for k in chi_reps])
@@ -338,9 +331,9 @@ def build_fourier_form(spec: ProblemSpec) -> LinearProgram:
         var_labels=tuple([("fhat", k) for k in chi_reps]),
         var_bounds=bounds,
         row_labels=labels,
-        A=(_cosine_matrix(group, reps, chi_reps, exact) * sizes)[list(picks)],
+        A=_cosine_matrix(group, reps, chi_reps, exact) * sizes,
         senses=senses,
-        rhs=(big,) + (zero,) * (len(rows) - 1),
+        rhs=(big,) + (zero,) * (len(reps) - 1),
         objective=objective,
         objective_scale=Fraction(group.weight),
         arithmetic=spec.arithmetic,
@@ -1035,46 +1028,27 @@ def _reconstruct(spec: ProblemSpec, lp: LinearProgram, x: Sequence, formulation:
     return values
 
 
-def _auto_formulation(spec: ProblemSpec) -> str:
-    """The form ``solve`` falls back to by default: for a float problem the
-    Fourier form when it has fewer rows than the primal form has
-    variables, else primal; primal for an exact problem.
+def _default_forms(spec: ProblemSpec) -> tuple[str, ...]:
+    """The forms the default ``solve`` tries, in order: it solves the last
+    one unless it keeps "restricted" (``_solve_restricted``) first.
 
-    The primal form has one row per character orbit and the Fourier form
-    one variable per character orbit, so this picks the smaller tableau.
-    The rows are those ``_fourier_rows`` lists and the variables those
-    ``_primal_vars`` lists, so the count needs neither LP.  With a, b, c
-    and d the nonzero element orbits in both sets, in Ω₊ only, in Ω₋ only
-    and in neither, the rule reads 1 + b + c + d < 1 + a + b + c, that is
-    d < a.  Exact problems stay primal because a group and a subgroup
-    solved in different forms lift different irrational cosines to
-    ``Fraction``, and the reduction identity would then lose exact
-    equality.  A float problem first tries its Turán restriction
-    (``_tries_restriction``) and falls back to this form only when the
-    restriction's certificate fails on the full program.
+    With a, b + c and d the nonzero element orbits in both sign sets, in
+    exactly one and in neither, the primal form has 1 + a + b + c
+    variables and the Fourier form 1 + b + c + d rows, and each has one
+    row or variable per character orbit.  A float problem falls back to
+    the smaller tableau, Fourier when d < a, and first tries the Turán
+    restriction's 1 + a variables when b + c > 0 and a < b + c + d.
+    Exact problems solve the primal form alone: a group and a subgroup
+    solved in different forms would lift different irrational cosines to
+    ``Fraction``, and the reduction identity would lose exact equality.
     """
     if spec.arithmetic == EXACT:
-        return "primal"
-    if len(_fourier_rows(spec)[1]) < len(_primal_vars(spec)[0]):
-        return "fourier"
-    return "primal"
-
-
-def _tries_restriction(spec: ProblemSpec) -> bool:
-    """Whether the default float solve first tries the Turán restriction:
-    the primal form on orbit 0 and the a nonzero orbits in both sign sets.
-
-    It is tried when some orbit lies in exactly one set (b + c > 0, so the
-    restriction has fewer variables than the primal form) and when its
-    1 + a variables are fewer than the Fourier form's 1 + b + c + d rows:
-    the same smaller-tableau rule as ``_auto_formulation``.
-    """
-    plus, minus = spec.omega_plus.indices, spec.omega_minus.indices
-    if spec.arithmetic == EXACT or plus == minus:
-        return False
-    reps = _orbits(spec.group.size, spec.group.neg_index)[0]
-    a = sum(1 for r in reps[1:] if r in plus and r in minus)
-    return 1 + a < len(reps) - a
+        return ("primal",)
+    both, single, neither, _ = _orbit_split(spec)
+    fallback = "fourier" if len(neither) < len(both) else "primal"
+    if single and len(both) < len(single) + len(neither):
+        return ("restricted", fallback)
+    return (fallback,)
 
 
 def _solve_restricted(lp: LinearProgram) -> RawOptimum | None:
@@ -1098,16 +1072,12 @@ def _solve_restricted(lp: LinearProgram) -> RawOptimum | None:
     lo, hi = np.array(lp.var_bounds).T
     keep = ((lo != 0) & (hi != 0)).nonzero()[0]
     try:
-        raw = simplex_solve(LinearProgram(
+        raw = simplex_solve(replace(
+            lp,
             var_labels=tuple([lp.var_labels[j] for j in keep]),
             var_bounds=tuple([lp.var_bounds[j] for j in keep]),
-            row_labels=lp.row_labels,
             A=lp.A[:, keep],
-            senses=lp.senses,
-            rhs=lp.rhs,
             objective=tuple([lp.objective[j] for j in keep]),
-            objective_scale=lp.objective_scale,
-            arithmetic=lp.arithmetic,
         ))
     except SimplexError:
         return None
@@ -1124,40 +1094,35 @@ def _solve_restricted(lp: LinearProgram) -> RawOptimum | None:
 def solve(spec: ProblemSpec, formulation: str = "auto") -> Solution:
     """Build, solve and validate one extremal problem.
 
-    ``formulation`` is "primal", "fourier" or "auto".  By default a float
-    problem with orbits in exactly one sign set first solves its Turán
-    restriction (``_tries_restriction``, ``_solve_restricted``), and keeps
-    the result, as a "primal" solution of the full primal form, only when
+    ``formulation`` is "primal", "fourier" or "auto".  An explicit form is
+    solved alone; "auto" walks ``_default_forms``.  The Turán restriction
+    is kept, as a "primal" solution of the full primal form, only when
     every held orbit prices out to the simplex's pricing tolerance and
     ``verify_certificate`` then passes on that form.  Otherwise (a
-    ``SimplexError`` in the restriction included) ``_auto_formulation``
-    picks the form, reusing the primal form already built: a float
-    problem solves the Fourier form when it has fewer rows than the
-    primal form has variables, else primal, and an exact problem always
-    solves the primal form.  An explicit "primal"
-    or "fourier" solves that form alone.  ``Solution.formulation``
-    records the form solved.
+    ``SimplexError`` in it included) the last form is solved, reusing the
+    primal form already built.  ``Solution.formulation`` records the form
+    solved.
 
     Class emptiness is a status, not an error: if the identity is not an
     admissible plus point the value is 0 by convention.
     """
     start = time.perf_counter()
-    restrict = formulation == "auto" and _tries_restriction(spec)
-    if formulation == "auto":
-        formulation = _auto_formulation(spec)
-    builder = {"primal": build_primal, "fourier": build_fourier_form}.get(formulation)
-    if builder is None:
+    if formulation not in ("primal", "fourier", "auto"):
         raise ValueError(f"unknown formulation {formulation!r}: primal, fourier or auto")
+    forms = _default_forms(spec) if formulation == "auto" else (formulation,)
+    formulation, lp = forms[-1], None
     try:
-        if restrict:
-            lp = build_primal(spec)
-            raw = _solve_restricted(lp)
-            if raw is not None:
-                sol = _solution(spec, lp, raw, "primal", start)
-                if sol.certificate_verdict:
-                    return sol
-        if not restrict or formulation != "primal":
-            lp = builder(spec)
+        for form in forms:
+            if form == "fourier":
+                lp = build_fourier_form(spec)
+            elif lp is None:
+                lp = build_primal(spec)
+            if form == "restricted":
+                raw = _solve_restricted(lp)
+                if raw is not None:
+                    sol = _solution(spec, lp, raw, "primal", start)
+                    if sol.certificate_verdict:
+                        return sol
     except ClassEmptyProblem:
         return Solution(
             spec=spec,

@@ -2,9 +2,13 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +120,31 @@ def test_solve_out_of_memory_exits_three(tmp_path, capsys, monkeypatch):
     assert stdout == ""
     assert err == "error: solver failed: out of memory\n"
     assert "Traceback" not in err
+    assert not (tmp_path / "result.json").exists()
+
+
+def test_solve_out_of_memory_in_a_capped_child_exits_three(tmp_path):
+    # A real allocation failure: the default Delsarte solve at N = 32768
+    # builds the full primal form, whose (16385, 16385) int64 phase matrix
+    # takes 2 GiB, in a child whose address space is capped at 1.5 GB.
+    resource = pytest.importorskip("resource")
+    cap = 1_500_000_000
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "delsarte.cli", "solve", "--torus", "8", "--grid", "32768",
+         "--omega-plus", "[-1,1]", "--mode", "delsarte", "--out", str(tmp_path)],
+        cwd=tmp_path, env=env, preexec_fn=limit_address_space,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == cli.EXIT_SOLVER_ERROR == 3
+    assert done.stderr.count("error: solver failed:") == 1
+    assert "Traceback" not in done.stderr
     assert not (tmp_path / "result.json").exists()
 
 

@@ -304,3 +304,21 @@ def test_csv_round_trip(tmp_path):
     f.spectrum().to_csv(spath)
     header = spath.read_text().splitlines()[0]
     assert header == "char_index,value_re,value_im"
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["0,0,1", "1,1,0.5", "2,2,0", "-1,3,0.5"], "line 5: index -1 "),
+    (["0,0,1", "1,1,0.5", "1,1,0.25", "3,3,0.5"], "line 4: index 1 "),
+    (["0,0,1", "1,1,0.5", "3,3,0.5"], "no row has index 2"),
+    (["0,0,1", "1,1,0.5", "2,2,0", "9,3,0.5"], "line 5: index 9 "),
+    (["0,0,1", "x,1,0.5", "2,2,0", "3,3,0.5"], "line 3: no integer index"),
+    (["0,0,1", "1,1", "2,2,0", "3,3,0.5"], "line 3: no integer index"),
+])
+def test_csv_rejects_a_bad_index(tmp_path, rows, message):
+    # Every index of Z4 once, with a value: a negative or too large index,
+    # a repeat, a gap or an unreadable row is a ValueError naming the
+    # line, not a silent write, a read 0 or an IndexError.
+    path = tmp_path / "f.csv"
+    path.write_text("\n".join(["index,coordinates,value", *rows]) + "\n")
+    with pytest.raises(ValueError, match=message):
+        GroupFunction.from_csv(FiniteAbelianGroup((4,)), path)

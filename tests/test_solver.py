@@ -29,7 +29,7 @@ from delsarte.solver import (
     LinearProgram,
     ProblemSpec,
     SimplexError,
-    _auto_formulation,
+    _default_forms,
     build_fourier_form,
     build_primal,
     simplex_solve,
@@ -509,7 +509,13 @@ def test_auto_formulation_keeps_the_row_count_rule(seed, mode):
     else:
         spec = ProblemSpec.general(group, plus, random_symmetric_set(group, rng, rng.random()))
     a, b, c, d, e = orbit_counts(spec)
-    assert _auto_formulation(spec) == ("fourier" if 1 + b + c + 2 * d < e else "primal")
+    assert _default_forms(spec)[-1] == ("fourier" if 1 + b + c + 2 * d < e else "primal")
+    # The whole tuple: the Turan restriction first when some orbit lies in
+    # exactly one set and its 1 + a variables are fewer than the Fourier
+    # form's 1 + b + c + d rows; an exact problem solves the primal form.
+    first = ("restricted",) if b + c > 0 and 1 + a < 1 + b + c + d else ()
+    assert _default_forms(spec) == first + ("fourier" if d < a else "primal",)
+    assert _default_forms(replace(spec, arithmetic=EXACT)) == ("primal",)
 
 
 def held_orbits(lp) -> list[int]:
@@ -569,7 +575,7 @@ def test_default_falls_back_when_a_held_orbit_prices_in():
     assert lp.objective[5] - np.dot(y, lp.A[:, 5]) == pytest.approx(2 - math.sqrt(5))
     sol = solve(spec)
     fourier = solve(spec, "fourier")
-    assert _auto_formulation(spec) == sol.formulation == "fourier"
+    assert _default_forms(spec)[-1] == sol.formulation == "fourier"
     assert sol.value == fourier.value and sol.var_values == fourier.var_values
     assert sol.stats.iterations == fourier.stats.iterations
     assert sol.certificate_verdict.ok
@@ -607,9 +613,33 @@ def test_default_primal_fallback_builds_the_primal_form_once(monkeypatch):
     monkeypatch.setattr(solver, "build_primal", lambda s: builds.append(s) or build_primal(s))
     sol = solve(spec)
     assert builds == [spec]
-    assert sol.formulation == _auto_formulation(spec) == "primal"
+    assert sol.formulation == _default_forms(spec)[-1] == "primal"
     assert sol.certificate_verdict.ok
     assert sol.var_values == solve(spec, "primal").var_values
+
+
+def test_default_solves_the_primal_form_when_the_sets_differ_at_the_identity_alone(
+        monkeypatch):
+    # [-1,1] on torus 8, N = 64, with Ω₋ = Ω₊ minus the identity: no
+    # nonzero orbit lies in exactly one set, so there is nothing to hold
+    # at 0 and no restriction to try.  With d > a the default is the
+    # primal form, solved once, as the explicit primal solve does.
+    dp = sample_set(parse_real_set("[-1,1]"), TorusSpec(Fraction(8), 64))
+    plus = SymmetricSet.from_signed(dp.group, dp.signed_members)
+    spec = ProblemSpec.general(dp.group, plus,
+                               SymmetricSet.from_indices(dp.group, set(plus.indices) - {0}))
+    a, b, c, d, _ = orbit_counts(spec)
+    assert b == c == 0 and 0 < a < d
+    assert _default_forms(spec) == ("primal",)
+    explicit = solve(spec, "primal")
+    solved = []
+    monkeypatch.setattr(solver, "simplex_solve", lambda lp: solved.append(lp) or simplex_solve(lp))
+    sol = solve(spec)
+    assert len(solved) == 1 and solved[0] is sol.lp
+    assert sol.formulation == "primal" and sol.certificate_verdict.ok
+    assert sol.stats.iterations == explicit.stats.iterations > 0
+    assert sol.stats.phase1_iterations == explicit.stats.phase1_iterations
+    assert sol.var_values == explicit.var_values
 
 
 def test_default_prices_held_orbits_whatever_the_tolerance():
@@ -655,7 +685,7 @@ def test_default_solve_equals_both_forms(seed, mode):
         assert sol.value == pytest.approx(solve(spec, form).value, abs=1e-9), form
     a, b, c, d, _ = orbit_counts(spec)
     if not (b + c > 0 and 1 + a < 1 + b + c + d):
-        assert sol.formulation == _auto_formulation(spec)
+        assert sol.formulation == _default_forms(spec)[-1]
         return
     lp = build_primal(spec)
     both = SymmetricSet.from_indices(
@@ -670,7 +700,7 @@ def test_default_solve_equals_both_forms(seed, mode):
         assert sol.stats.iterations == turan.iterations
         assert sol.value == float(lp.objective_scale) * turan.objective
     elif min(priced) < -1e-6:
-        assert sol.formulation == _auto_formulation(spec)
+        assert sol.formulation == _default_forms(spec)[-1]
 
 
 @pytest.mark.parametrize("mode", ["turan", "general"])
