@@ -12,15 +12,17 @@ so the spectral rows are the primal form's only rows.
 Two formulations are built from the same pairing data: the primal form
 in function values and an independent Fourier-side form in spectrum
 values; their agreement is the standing cross-check.  By default ``solve``
-picks the forms from its input (``_default_forms``).  A float problem
-with orbits in exactly one sign set first tries the primal form
-restricted to the orbits in both sets (the Turán program on Ω₊ ∩ Ω₋,
-whose class lies inside the problem's), kept only when every orbit it
-leaves out prices out and its certificate holds on the full primal form.
-Otherwise a float problem gets the Fourier form when it has fewer rows
-than the primal form has variables (in Delsarte mode unless Ω₊ = {0}),
-and an exact one gets the primal form, so that a group and its subgroups
-solve LPs whose irrational cosines are lifted the same way.
+picks the forms from its input (``_default_forms``).  A problem with
+orbits in exactly one sign set first tries the primal form restricted to
+the orbits in both sets (the Turán program on Ω₊ ∩ Ω₋, whose class lies
+inside the problem's), kept only when every orbit it leaves out prices
+out (to the float pricing tolerance, or exactly in exact arithmetic) and
+its certificate holds on the full primal form.  Otherwise a float
+problem gets the Fourier form when it has fewer rows than the primal
+form has variables (in Delsarte mode unless Ω₊ = {0}), and an exact one
+gets the primal form.  The restriction is a column subset of the primal
+form, so every exact solve of a group or a subgroup reads the primal
+form's matrix, and their irrational cosines are lifted the same way.
 A dense two-phase simplex is the single solving engine; it pivots either
 in float64 on a tableau of the nonbasic columns only (bounded variables,
 Dantzig pricing, Harris ratio test) or in exact arithmetic on a
@@ -714,7 +716,7 @@ def simplex_solve(lp: LinearProgram) -> RawOptimum:
     value[basis] = rhs
     comp = sign[:nv] < 0
     xt = np.where(comp, up[:nv] - value[:nv], value[:nv])
-    return _optimum(  # Python floats: the certificate check is scalar code
+    return _optimum(  # Python floats: no numpy scalar leaves the engine
         lp, xt.tolist(), _row_duals((rc * sign).tolist(), unit, flipped),
         np.where(comp, 0.0, rc[:nv]).tolist(), np.where(comp, rc[:nv], 0.0).tolist(),
         0.0, iterations, phase1_iterations, bound_flips,
@@ -966,6 +968,10 @@ class SolveStats:
     phase1_iterations: int
     runtime: float
     bound_flips: int = 0  # ratio-test steps that flipped a variable's bound
+    # The forms ``solve`` tried, in order: ("restricted",) when the Turán
+    # restriction was kept, ("restricted", "primal") on a fallback,
+    # ("fourier",) for a form solved alone; () for an empty class.
+    attempts: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -1035,17 +1041,18 @@ def _default_forms(spec: ProblemSpec) -> tuple[str, ...]:
     With a, b + c and d the nonzero element orbits in both sign sets, in
     exactly one and in neither, the primal form has 1 + a + b + c
     variables and the Fourier form 1 + b + c + d rows, and each has one
-    row or variable per character orbit.  A float problem falls back to
-    the smaller tableau, Fourier when d < a, and first tries the Turán
-    restriction's 1 + a variables when b + c > 0 and a < b + c + d.
-    Exact problems solve the primal form alone: a group and a subgroup
-    solved in different forms would lift different irrational cosines to
-    ``Fraction``, and the reduction identity would lose exact equality.
+    row or variable per character orbit.  Both arithmetics first try the
+    Turán restriction's 1 + a variables when b + c > 0 and a < b + c + d.
+    A float problem falls back to the smaller tableau, Fourier when d < a;
+    an exact one always falls back to the primal form.  The restriction is
+    a column subset of the primal form, so an exact group and its subgroup
+    lift the same irrational cosines to ``Fraction`` whichever of the two
+    each keeps, and the reduction identity keeps exact equality; a
+    Fourier solve of one of them would lift other cosines.
     """
-    if spec.arithmetic == EXACT:
-        return ("primal",)
     both, single, neither, _ = _orbit_split(spec)
-    fallback = "fourier" if len(neither) < len(both) else "primal"
+    exact = spec.arithmetic == EXACT
+    fallback = "fourier" if not exact and len(neither) < len(both) else "primal"
     if single and len(both) < len(single) + len(neither):
         return ("restricted", fallback)
     return (fallback,)
@@ -1064,11 +1071,15 @@ def _solve_restricted(lp: LinearProgram) -> RawOptimum | None:
     the upper one for a [-1, 0] orbit, the lower one, -r, for a [0, 1]
     orbit.  Stationarity then holds on every held column by
     construction, so the extension is optimal exactly when these
-    multipliers are nonnegative.  They are held to the simplex's own
-    pricing tolerance, 1e-9, not to the problem's ``tolerance``, so the
-    value kept never depends on the tolerance a certificate is checked
-    to.
+    multipliers are nonnegative.  A float program holds them to the
+    simplex's own pricing tolerance, 1e-9, not to the problem's
+    ``tolerance``, so the value kept never depends on the tolerance a
+    certificate is checked to.  An exact program computes r from its
+    integer rows over one common denominator (``_exact_stationarity``)
+    and holds every multiplier to >= 0 exactly.
     """
+    exact = lp.arithmetic == EXACT
+    zero = Fraction(0) if exact else 0.0
     lo, hi = np.array(lp.var_bounds).T
     keep = ((lo != 0) & (hi != 0)).nonzero()[0]
     try:
@@ -1081,11 +1092,15 @@ def _solve_restricted(lp: LinearProgram) -> RawOptimum | None:
         ))
     except SimplexError:
         return None
-    rc = np.array(lp.objective) - np.array(raw.row_duals) @ lp.A
-    lower, upper = np.where(lo == 0, 0.0 - rc, 0.0), np.where(hi == 0, rc, 0.0)
-    if min(lower.min(), upper.min()) < -1e-9:  # 0 on the kept columns
+    if exact:
+        zeros = (zero,) * lp.num_vars
+        rc = np.array(_exact_stationarity(lp, raw.row_duals, zeros, zeros), dtype=object)
+    else:
+        rc = np.array(lp.objective) - np.array(raw.row_duals) @ lp.A
+    lower, upper = np.where(lo == 0, zero - rc, zero), np.where(hi == 0, rc, zero)
+    if min(lower.min(), upper.min()) < (zero if exact else -1e-9):  # 0 on the kept columns
         return None
-    x = np.zeros(lp.num_vars)
+    x = np.full(lp.num_vars, zero, dtype=rc.dtype)
     x[keep], lower[keep], upper[keep] = raw.x, raw.lower_duals, raw.upper_duals
     return replace(raw, x=tuple(x.tolist()), lower_duals=tuple(lower.tolist()),
                    upper_duals=tuple(upper.tolist()))
@@ -1097,22 +1112,25 @@ def solve(spec: ProblemSpec, formulation: str = "auto") -> Solution:
     ``formulation`` is "primal", "fourier" or "auto".  An explicit form is
     solved alone; "auto" walks ``_default_forms``.  The Turán restriction
     is kept, as a "primal" solution of the full primal form, only when
-    every held orbit prices out to the simplex's pricing tolerance and
-    ``verify_certificate`` then passes on that form.  Otherwise (a
-    ``SimplexError`` in it included) the last form is solved, reusing the
-    primal form already built.  ``Solution.formulation`` records the form
-    solved.
+    every held orbit prices out (to the simplex's pricing tolerance in
+    float, exactly in exact arithmetic) and ``verify_certificate`` then
+    passes on that form.  Otherwise (a ``SimplexError`` in it included)
+    the last form is solved, reusing the primal form already built.
+    ``Solution.formulation`` records the form solved, and
+    ``SolveStats.attempts`` the forms tried.
 
     Class emptiness is a status, not an error: if the identity is not an
-    admissible plus point the value is 0 by convention.
+    admissible plus point the value is 0 by convention.  A ``MemoryError``
+    is raised again with the shape of the LP its form builds.
     """
     start = time.perf_counter()
     if formulation not in ("primal", "fourier", "auto"):
         raise ValueError(f"unknown formulation {formulation!r}: primal, fourier or auto")
     forms = _default_forms(spec) if formulation == "auto" else (formulation,)
-    formulation, lp = forms[-1], None
+    formulation, lp, attempts = forms[-1], None, []
     try:
         for form in forms:
+            attempts.append(form)
             if form == "fourier":
                 lp = build_fourier_form(spec)
             elif lp is None:
@@ -1120,9 +1138,10 @@ def solve(spec: ProblemSpec, formulation: str = "auto") -> Solution:
             if form == "restricted":
                 raw = _solve_restricted(lp)
                 if raw is not None:
-                    sol = _solution(spec, lp, raw, "primal", start)
+                    sol = _solution(spec, lp, raw, "primal", start, tuple(attempts))
                     if sol.certificate_verdict:
                         return sol
+        return _solution(spec, lp, simplex_solve(lp), formulation, start, tuple(attempts))
     except ClassEmptyProblem:
         return Solution(
             spec=spec,
@@ -1139,11 +1158,22 @@ def solve(spec: ProblemSpec, formulation: str = "auto") -> Solution:
             var_values=None,
             class_verdict=None,
         )
-    return _solution(spec, lp, simplex_solve(lp), formulation, start)
+    except MemoryError as exc:
+        # The shape of the form being built (the restriction's is the
+        # primal form), from the orbit counts: each form has one row or
+        # variable per character orbit, as many as element orbits.
+        both, single, neither, _ = _orbit_split(spec)
+        orbits = 1 + len(both) + len(single) + len(neither)
+        if attempts[-1] == "fourier":
+            form, rows, cols = "fourier", 1 + len(single) + len(neither), orbits
+        else:
+            form, rows, cols = "primal", orbits, 1 + len(both) + len(single)
+        raise MemoryError(f"{str(exc) or 'out of memory'} "
+                          f"({form} LP, {rows} rows x {cols} variables)") from exc
 
 
 def _solution(spec: ProblemSpec, lp: LinearProgram, raw: RawOptimum,
-              formulation: str, start: float) -> Solution:
+              formulation: str, start: float, attempts: tuple[str, ...]) -> Solution:
     """The ``Solution`` of an optimum ``raw`` of ``lp``, with its extremal
     function, certificate, class verdict and certificate verdict."""
     exact = spec.arithmetic == EXACT
@@ -1176,7 +1206,7 @@ def _solution(spec: ProblemSpec, lp: LinearProgram, raw: RawOptimum,
         gap=gap,
         stats=SolveStats(
             raw.iterations, raw.phase1_iterations, time.perf_counter() - start,
-            raw.bound_flips,
+            raw.bound_flips, attempts,
         ),
         formulation=formulation,
         lp=lp,
@@ -1272,14 +1302,21 @@ def _exact_residuals(lp: LinearProgram, x, y, upper, lower):
     """The slacks and stationarity residuals of an exact program, each one
     Fraction built from an integer dot product over a common denominator."""
     X, dx = _over_common(x)
-    rows = lp.condensed
     slacks = []
-    for rhs, (A, d) in zip(lp.rhs, rows):
+    for rhs, (A, d) in zip(lp.rhs, lp.condensed):
         den = d * dx
         slacks.append(Fraction(
             rhs.numerator * den - rhs.denominator * _dot(A, X),
             rhs.denominator * den,
         ))
+    return slacks, _exact_stationarity(lp, y, upper, lower)
+
+
+def _exact_stationarity(lp: LinearProgram, y, upper, lower) -> list[Fraction]:
+    """c_j - y . A_j - mu_j + nu_j for every variable j of an exact
+    program, from its integer rows (``condensed``) over one common
+    denominator."""
+    rows = lp.condensed
     # y_i a_ij = y_i.numerator A_ij / (y_i.denominator d_i); one denominator
     # D takes these terms and every c_j, mu_j and nu_j.
     D = math.lcm(
@@ -1295,7 +1332,7 @@ def _exact_residuals(lp: LinearProgram, x, y, upper, lower):
         if y_i:
             w = y_i.numerator * (D // (y_i.denominator * d))
             acc = [r - w * a for r, a in zip(acc, A)]
-    return slacks, [Fraction(r, D) for r in acc]
+    return [Fraction(r, D) for r in acc]
 
 
 def verify_certificate(sol: Solution, tol: float | None = None) -> CertificateVerdict:

@@ -118,7 +118,9 @@ def test_solve_out_of_memory_exits_three(tmp_path, capsys, monkeypatch):
     )
     assert code == cli.EXIT_SOLVER_ERROR == 3
     assert stdout == ""
-    assert err == "error: solver failed: out of memory\n"
+    # The default Turan solve on Z8 with Ω₊ = {-1, 0, 1} is the primal form:
+    # one row per element orbit (0 to 4), variables for orbits 0 and 1.
+    assert err == "error: solver failed: out of memory (primal LP, 5 rows x 2 variables)\n"
     assert "Traceback" not in err
     assert not (tmp_path / "result.json").exists()
 
@@ -144,6 +146,8 @@ def test_solve_out_of_memory_in_a_capped_child_exits_three(tmp_path):
     )
     assert done.returncode == cli.EXIT_SOLVER_ERROR == 3
     assert done.stderr.count("error: solver failed:") == 1
+    # 16,385 element and character orbits, every one a primal variable.
+    assert "(primal LP, 16385 rows x 16385 variables)" in done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "result.json").exists()
 

@@ -844,6 +844,16 @@ def test_interior_variables_have_zero_bound_multipliers(grid, mode, formulation)
 # of the sign conditions are those of the variable bounds.
 
 GRID32_DEN = "272731358340920502802657740031018725777109034728816774886560709"
+GRID32_VALUE = ("1385895015227995076499288930506197655067433158737389153247138757"
+                "/1090925433363682011210630960124074903108436138915267099546242836")
+GRID32_DUALS = {
+    6: f"-345086093385347776919082254713364466113612242616463820738002944/{GRID32_DEN}",
+    7: f"-214283653242527437119816103720252149174042104920780996211638272/{GRID32_DEN}",
+    12: f"-111512835477582670650041570344071494223458533706433908065697792/{GRID32_DEN}",
+    13: f"-442281074781616689007691261697490819779211242764893653345239040/{GRID32_DEN}",
+}
+GRID32_UPPER = {
+    0: f"1385895015227995076499288930506197655067433158737389153247138757/{GRID32_DEN}"}
 
 
 def z32_delsarte():
@@ -866,35 +876,56 @@ def z6xz6_reduction():
     return ProblemSpec.general(group, plus, minus, arithmetic=EXACT)
 
 
-@pytest.mark.parametrize(
-    "build, value, counts, rows, duals, upper",
-    [
-        (z32_delsarte, "4", (20, 18), 17, {8: "-2", 16: "-1"},
-         {0: "4", 4: "8", 8: "8", 12: "8", 16: "4"}),
-        (grid32_turan,
-         "1385895015227995076499288930506197655067433158737389153247138757"
-         "/1090925433363682011210630960124074903108436138915267099546242836",
-         (13, 7), 17,
-         {6: f"-345086093385347776919082254713364466113612242616463820738002944/{GRID32_DEN}",
-          7: f"-214283653242527437119816103720252149174042104920780996211638272/{GRID32_DEN}",
-          12: f"-111512835477582670650041570344071494223458533706433908065697792/{GRID32_DEN}",
-          13: f"-442281074781616689007691261697490819779211242764893653345239040/{GRID32_DEN}"},
-         {0: f"1385895015227995076499288930506197655067433158737389153247138757/{GRID32_DEN}"}),
-        (z6xz6_reduction, "3", (18, 13), 20, {1: "-2"}, {0: "3", 1: "4", 2: "4"}),
-    ],
-    ids=["z32-delsarte", "grid32-turan", "z6xz6-reduction"],
-)
-def test_exact_path_is_pinned(build, value, counts, rows, duals, upper):
-    sol = solve(build())
+def assert_exact_pins(sol, value, attempts, counts, rows, duals, lower, upper):
     assert verify_certificate(sol, tol=0.0).ok
     assert sol.value_exact == Fraction(value)
+    assert sol.stats.attempts == attempts
     assert (sol.stats.iterations, sol.stats.phase1_iterations) == counts
     cert = sol.dual_certificate
     expected = tuple(Fraction(duals.get(i, 0)) for i in range(rows))
     assert tuple(y for _, y in cert.rows) == expected
     nv = sol.lp.num_vars
     assert cert.upper_bounds == tuple(Fraction(upper.get(j, 0)) for j in range(nv))
-    assert cert.lower_bounds == (Fraction(0),) * nv
+    assert cert.lower_bounds == tuple(Fraction(lower.get(j, 0)) for j in range(nv))
+
+
+@pytest.mark.parametrize(
+    "build, value, counts, rows, duals, upper",
+    [
+        (z32_delsarte, "4", (20, 18), 17, {8: "-2", 16: "-1"},
+         {0: "4", 4: "8", 8: "8", 12: "8", 16: "4"}),
+        (grid32_turan, GRID32_VALUE, (13, 7), 17, GRID32_DUALS, GRID32_UPPER),
+        (z6xz6_reduction, "3", (18, 13), 20, {1: "-2"}, {0: "3", 1: "4", 2: "4"}),
+    ],
+    ids=["z32-delsarte", "grid32-turan", "z6xz6-reduction"],
+)
+def test_exact_path_is_pinned(build, value, counts, rows, duals, upper):
+    # The explicit primal form, solved whole.
+    sol = solve(build(), "primal")
+    assert_exact_pins(sol, value, ("primal",), counts, rows, duals, {}, upper)
+
+
+@pytest.mark.parametrize(
+    "build, value, attempts, counts, rows, duals, lower, upper",
+    [
+        # Delsarte: the Turan restriction to orbits 0-3 prices every held
+        # [-1, 0] orbit out, with the explicit solve's multipliers, in 9
+        # pivots where the full form takes 20.
+        (z32_delsarte, "4", ("restricted",), (9, 7), 17, {8: "-2", 16: "-1"}, {},
+         {0: "4", 4: "8", 8: "8", 12: "8", 16: "4"}),
+        # No orbit lies in one sign set only: nothing to hold, primal alone.
+        (grid32_turan, GRID32_VALUE, ("primal",), (13, 7), 17, GRID32_DUALS, {},
+         GRID32_UPPER),
+        # Ω₊ ∩ Ω₋ = {0}: the restriction is f(0) = 1 alone, a held orbit
+        # prices in, and the primal form is solved as the explicit path does.
+        (z6xz6_reduction, "3", ("restricted", "primal"), (18, 13), 20, {1: "-2"}, {},
+         {0: "3", 1: "4", 2: "4"}),
+    ],
+    ids=["z32-delsarte", "grid32-turan", "z6xz6-reduction"],
+)
+def test_exact_default_path_is_pinned(build, value, attempts, counts, rows, duals,
+                                      lower, upper):
+    assert_exact_pins(solve(build()), value, attempts, counts, rows, duals, lower, upper)
 
 
 @st.composite

@@ -82,6 +82,7 @@ def test_build_primal_class_empty_short_circuit():
     sol = solve(ProblemSpec.turan(Z8, omega))
     assert sol.status == "class_empty"
     assert sol.value == 0.0
+    assert sol.stats.attempts == ()  # no form was solved
     assert verify_certificate(sol).ok  # vacuous
 
 
@@ -512,10 +513,11 @@ def test_auto_formulation_keeps_the_row_count_rule(seed, mode):
     assert _default_forms(spec)[-1] == ("fourier" if 1 + b + c + 2 * d < e else "primal")
     # The whole tuple: the Turan restriction first when some orbit lies in
     # exactly one set and its 1 + a variables are fewer than the Fourier
-    # form's 1 + b + c + d rows; an exact problem solves the primal form.
+    # form's 1 + b + c + d rows; an exact problem tries the same
+    # restriction and falls back to the primal form.
     first = ("restricted",) if b + c > 0 and 1 + a < 1 + b + c + d else ()
     assert _default_forms(spec) == first + ("fourier" if d < a else "primal",)
-    assert _default_forms(replace(spec, arithmetic=EXACT)) == ("primal",)
+    assert _default_forms(replace(spec, arithmetic=EXACT)) == first + ("primal",)
 
 
 def held_orbits(lp) -> list[int]:
@@ -531,7 +533,7 @@ def test_default_delsarte_keeps_the_turan_restriction():
     dp = sample_set(parse_real_set("[-1,1]"), TorusSpec(Fraction(8), 256))
     spec = ProblemSpec.delsarte(dp.group, SymmetricSet.from_signed(dp.group, dp.signed_members))
     sol = solve(spec)
-    assert sol.formulation == "primal"
+    assert sol.formulation == "primal" and sol.stats.attempts == ("restricted",)
     assert sol.lp.var_labels == build_primal(spec).var_labels and sol.lp.num_vars == 129
     held = held_orbits(sol.lp)
     assert len(held) == 96 and not any(sol.var_values[j] for j in held)
@@ -576,6 +578,8 @@ def test_default_falls_back_when_a_held_orbit_prices_in():
     sol = solve(spec)
     fourier = solve(spec, "fourier")
     assert _default_forms(spec)[-1] == sol.formulation == "fourier"
+    assert sol.stats.attempts == ("restricted", "fourier")
+    assert fourier.stats.attempts == ("fourier",)
     assert sol.value == fourier.value and sol.var_values == fourier.var_values
     assert sol.stats.iterations == fourier.stats.iterations
     assert sol.certificate_verdict.ok
@@ -614,6 +618,7 @@ def test_default_primal_fallback_builds_the_primal_form_once(monkeypatch):
     sol = solve(spec)
     assert builds == [spec]
     assert sol.formulation == _default_forms(spec)[-1] == "primal"
+    assert sol.stats.attempts == ("restricted", "primal")
     assert sol.certificate_verdict.ok
     assert sol.var_values == solve(spec, "primal").var_values
 
@@ -701,6 +706,90 @@ def test_default_solve_equals_both_forms(seed, mode):
         assert sol.value == float(lp.objective_scale) * turan.objective
     elif min(priced) < -1e-6:
         assert sol.formulation == _default_forms(spec)[-1]
+
+
+# Orders whose pairings take irrational cosines (lifted from float64 to
+# Fraction) and products whose cosines are all rational.
+EXACT_GROUPS = [(5,), (8,), (10,), (12,), (2, 5), (4,), (6,), (2, 6), (3, 3), (2, 2, 3)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(EXACT_GROUPS), st.integers(0, 2**32 - 1),
+       st.sampled_from(["delsarte", "general"]), st.integers(10, 16))
+def test_exact_default_solve_equals_the_primal_form(orders, seed, mode, digits):
+    # The default exact solve keeps the Turan restriction exactly when
+    # every held orbit prices out, each reduced cost summed here in
+    # Fractions from the Turan program's own row duals; otherwise it
+    # solves the primal form.  Either way its value is the primal form's
+    # and both certificates hold at zero tolerance.  A kept restriction is
+    # then refused once one held orbit's cost is moved to give it the
+    # multiplier -10^-digits, which no float tolerance would see.
+    group = FiniteAbelianGroup(orders)
+    rng = random.Random(seed)
+    plus = random_symmetric_set(group, rng, rng.random(), ensure_zero=True)
+    if mode == "delsarte":
+        spec = ProblemSpec.delsarte(group, plus, arithmetic=EXACT)
+    else:
+        spec = ProblemSpec.general(group, plus, random_symmetric_set(group, rng, rng.random()),
+                                   arithmetic=EXACT)
+    sol, primal = solve(spec), solve(spec, "primal")
+    assert sol.value_exact == primal.value_exact
+    assert verify_certificate(sol, tol=0.0).ok and verify_certificate(primal, tol=0.0).ok
+    if _default_forms(spec) == ("primal",):
+        assert sol.stats.attempts == ("primal",)
+        return
+    lp = build_primal(spec)
+    both = SymmetricSet.from_indices(
+        group, {0} | (set(spec.omega_plus.indices) & set(spec.omega_minus.indices)))
+    turan = simplex_solve(build_primal(ProblemSpec.turan(group, both, arithmetic=EXACT)))
+    held = held_orbits(lp)
+    priced = []  # >= 0 where the held orbit prices out
+    for j in held:
+        r = lp.objective[j] - sum(y * lp.A[i, j] for i, y in enumerate(turan.row_duals))
+        priced.append(r if lp.var_bounds[j][1] == 0 else -r)
+    kept = solver._solve_restricted(lp)
+    assert (kept is not None) == (min(priced) >= 0)
+    if kept is None:
+        assert sol.stats.attempts == ("restricted", "primal")
+        assert sol.var_values == primal.var_values
+        return
+    assert sol.stats.attempts == ("restricted",)
+    assert sol.stats.iterations == turan.iterations
+    assert sol.value_exact == lp.objective_scale * turan.objective
+    # Held costs do not enter the restriction, so its row duals stay.
+    k = rng.randrange(len(held))
+    shift = priced[k] + Fraction(1, 10**digits)
+    cost = list(lp.objective)
+    cost[held[k]] -= shift if lp.var_bounds[held[k]][1] == 0 else -shift
+    assert solver._solve_restricted(replace(lp, objective=tuple(cost))) is None
+
+
+def test_exact_restriction_rejects_a_multiplier_below_zero_by_a_hair():
+    # max x0 + (1 - 1e-12) x1 + x2 with x0 = 1, x1 in [-1, 0] held and x2 in
+    # [-1, 1], under 2 x2 - x0 + 2 x1 <= 0.  The restriction (x1 = 0) has
+    # x2 = 1/2 and row dual 1/2, so x1's upper multiplier is
+    # (1 - 1e-12) - 2 / 2 = -1e-12: above the float pricing tolerance, but
+    # below 0, and lowering x1 does raise the value.
+    hair = Fraction(1, 10**12)
+    lp = LinearProgram(
+        var_labels=(0, 1, 2),
+        var_bounds=((Fraction(1), Fraction(1)), (Fraction(-1), Fraction(0)),
+                    (Fraction(-1), Fraction(1))),
+        row_labels=(("row", 0),),
+        A=np.array([[Fraction(-1), Fraction(2), Fraction(2)]], dtype=object),
+        senses=("<=",),
+        rhs=(Fraction(0),),
+        objective=(Fraction(1), 1 - hair, Fraction(1)),
+        objective_scale=Fraction(1),
+        arithmetic=EXACT,
+    )
+    restricted = simplex_solve(replace(
+        lp, var_labels=(0, 2), var_bounds=(lp.var_bounds[0], lp.var_bounds[2]),
+        A=lp.A[:, [0, 2]], objective=(lp.objective[0], lp.objective[2])))
+    assert restricted.x == (1, Fraction(1, 2)) and restricted.row_duals == (Fraction(1, 2),)
+    assert lp.objective[1] - restricted.row_duals[0] * lp.A[0, 1] == -hair
+    assert simplex_solve(lp).objective > restricted.objective
+    assert solver._solve_restricted(lp) is None
 
 
 @pytest.mark.parametrize("mode", ["turan", "general"])
