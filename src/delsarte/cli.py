@@ -306,7 +306,7 @@ def _cmd_sweep(args) -> int:
     if args.grid_list:
         grids = [_grid_count("--grid-list", g, args.grid_list)
                  for g in args.grid_list.split(",") if g]
-    elif args.grid:
+    elif args.grid is not None:
         grids = [args.grid]
     else:
         raise InputError("sweep needs --grid or --grid-list")

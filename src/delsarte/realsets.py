@@ -8,7 +8,11 @@ rounding would change verdicts.
 Normal form merges touching intervals whose union is an interval, e.g.
 (a,b] u (b,c) becomes (a,c), but never merges across an excluded shared
 endpoint: (-1,1) u (1,2) stays two pieces, and that puncture at 1 is
-exactly what the boundary-coherence predicate must see.
+exactly what the boundary-coherence predicate must see.  The normal form
+of a point set is unique: its maximal pieces in order, two touching
+pieces kept apart only at an excluded shared point.  So equal sets have
+equal ``intervals``, and union, intersection and containment are decided
+on the normal form, by one order on interval ends.
 
 Unbounded pieces (from complements and exteriors, or literals such as
 "(-inf,-1]u[1,inf)") carry ``None`` endpoints.  The extremal problems need
@@ -59,9 +63,17 @@ class Interval:
 
 
 def _sort_key(piece: Interval) -> tuple:
+    """Order of left ends: -inf first, then by value, closed before open."""
     if piece.left is None:
         return (0, Fraction(0), False)
     return (1, piece.left, not piece.left_closed)
+
+
+def _right_key(piece: Interval) -> tuple:
+    """Order of right ends: by value, open before closed, then +inf."""
+    if piece.right is None:
+        return (1, Fraction(0), False)
+    return (0, piece.right, piece.right_closed)
 
 
 class RealSet1D:
@@ -194,42 +206,9 @@ class RealSet1D:
         return RealSet1D(pieces)
 
     def is_subset_of(self, other: "RealSet1D") -> bool:
-        """Exact containment via breakpoints.
-
-        Membership in either set is constant between consecutive endpoint
-        values, so it suffices to test the endpoints themselves and one
-        rational midpoint per consecutive pair (with one probe beyond each
-        unbounded end).
-        """
-        for piece in self.intervals:
-            points: set[Fraction] = set()
-            for source in (self, other):
-                for q in source.intervals:
-                    for x in (q.left, q.right):
-                        if x is not None and piece.contains(x):
-                            points.add(x)
-            if piece.left is not None:
-                points.add(piece.left)
-            if piece.right is not None:
-                points.add(piece.right)
-            ordered = sorted(points)
-            probes: list[Fraction] = []
-            for x in ordered:
-                probes.append(x)
-            for a, b in zip(ordered, ordered[1:]):
-                probes.append((a + b) / 2)
-            if piece.left is None:
-                anchor = ordered[0] if ordered else Fraction(0)
-                probes.append(anchor - 1)
-            if piece.right is None:
-                anchor = ordered[-1] if ordered else Fraction(0)
-                probes.append(anchor + 1)
-            if not ordered and piece.left is None and piece.right is None:
-                probes.append(Fraction(0))
-            for x in probes:
-                if piece.contains(x) and not other.contains(x):
-                    return False
-        return True
+        """Exact containment: normal forms are unique, so S lies in T
+        exactly when S u T has T's normal form."""
+        return self.union(other) == other
 
     def negate(self) -> "RealSet1D":
         return RealSet1D(
@@ -261,15 +240,10 @@ class RealSet1D:
 
 
 def _normalize(pieces: Sequence[Interval]) -> tuple[Interval, ...]:
-    items = sorted(pieces, key=_sort_key)
     out: list[Interval] = []
-    for piece in items:
-        if not out:
-            out.append(piece)
-            continue
-        prev = out[-1]
-        if _can_merge(prev, piece):
-            out[-1] = _merge(prev, piece)
+    for piece in sorted(pieces, key=_sort_key):
+        if out and _can_merge(out[-1], piece):
+            out[-1] = _merge(out[-1], piece)
         else:
             out.append(piece)
     return tuple(out)
@@ -290,50 +264,19 @@ def _can_merge(a: Interval, b: Interval) -> bool:
 
 
 def _merge(a: Interval, b: Interval) -> Interval:
-    if a.left is None or b.left is None:
-        left, left_closed = None, False
-    elif a.left < b.left:
-        left, left_closed = a.left, a.left_closed
-    elif b.left < a.left:
-        left, left_closed = b.left, b.left_closed
-    else:
-        left, left_closed = a.left, a.left_closed or b.left_closed
-    if a.right is None or b.right is None:
-        right, right_closed = None, False
-    elif a.right > b.right:
-        right, right_closed = a.right, a.right_closed
-    elif b.right > a.right:
-        right, right_closed = b.right, b.right_closed
-    else:
-        right, right_closed = a.right, a.right_closed or b.right_closed
-    return Interval(left, right, left_closed, right_closed)
+    # Sorted so a's left end comes first; the later right end is kept.
+    last = max(a, b, key=_right_key)
+    return Interval(a.left, last.right, a.left_closed, last.right_closed)
 
 
 def _intersect(a: Interval, b: Interval) -> Interval | None:
-    if a.left is None:
-        left, left_closed = b.left, b.left_closed
-    elif b.left is None or a.left > b.left:
-        left, left_closed = a.left, a.left_closed
-    elif b.left > a.left:
-        left, left_closed = b.left, b.left_closed
-    else:
-        left, left_closed = a.left, a.left_closed and b.left_closed
-    if a.right is None:
-        right, right_closed = b.right, b.right_closed
-    elif b.right is None or a.right < b.right:
-        right, right_closed = a.right, a.right_closed
-    elif b.right < a.right:
-        right, right_closed = b.right, b.right_closed
-    else:
-        right, right_closed = a.right, a.right_closed and b.right_closed
-    if left is not None and right is not None:
-        if left > right:
-            return None
-        if left == right:
-            # Single points are not representable; they only arise here as
-            # degenerate overlaps of touching pieces and are dropped.
-            return None
-    return Interval(left, right, left_closed, right_closed)
+    first = max(a, b, key=_sort_key)
+    last = min(a, b, key=_right_key)
+    if first.left is not None and last.right is not None and first.left >= last.right:
+        # Pieces that cross are disjoint; pieces that meet share a single
+        # point, which is not representable and is dropped.
+        return None
+    return Interval(first.left, last.right, first.left_closed, last.right_closed)
 
 
 # -- topology ---------------------------------------------------------------

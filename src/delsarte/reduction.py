@@ -241,17 +241,14 @@ def _compare(
         sol_h = sol_g  # H = G: the problem on H is the one already solved
     else:
         view = SubgroupView(subgroup)
-        omega_plus_h = restrict_set(spec.omega_plus, view)
-        omega_minus_h = restrict_set(spec.omega_minus, view)
-        sub_mode = spec.mode
-        if sub_mode == "delsarte" and not omega_minus_h.is_full:
-            sub_mode = "general"  # minus set intersected below the full group
-        if sub_mode == "turan" and omega_plus_h.indices != omega_minus_h.indices:
-            sub_mode = "general"
+        # Restriction keeps the mode: equal sets restrict to equal sets,
+        # and the whole group to the whole view.
         sol_h = solve(
             ProblemSpec(
-                view, omega_plus_h, omega_minus_h,
-                mode=sub_mode, arithmetic=spec.arithmetic, tolerance=spec.tolerance,
+                view,
+                restrict_set(spec.omega_plus, view),
+                restrict_set(spec.omega_minus, view),
+                mode=spec.mode, arithmetic=spec.arithmetic, tolerance=spec.tolerance,
             )
         )
     return ReductionComparison(

@@ -55,7 +55,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -174,7 +174,7 @@ class LinearProgram:
     objective: tuple
     objective_scale: Fraction
     arithmetic: str
-    maximize: bool = True
+    maximize: ClassVar[bool] = True  # the one sense; reference solvers read it
 
     def __post_init__(self) -> None:
         for sense in self.senses:
@@ -919,8 +919,7 @@ def _exact_dot(a, b) -> Fraction:
 
 
 def _phase2_cost(lp: LinearProgram, ncols: int, zero) -> list:
-    cost = [c if lp.maximize else -c for c in lp.objective]
-    return cost + [zero] * (ncols - lp.num_vars)
+    return list(lp.objective) + [zero] * (ncols - lp.num_vars)
 
 
 def _row_duals(obj: list, unit: int, flipped: np.ndarray) -> list:

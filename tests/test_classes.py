@@ -81,6 +81,19 @@ def test_in_class_failure_reasons_are_named():
     assert any(f.witness == 1 for f in verdict.failures)
 
 
+def test_in_class_names_a_negative_value_outside_the_minus_set():
+    # 1 - (delta_1 + delta_2) / 2 on Z3 has spectrum (0, 3/2, 3/2).
+    f = GroupFunction(Z3, [1, -0.5, -0.5])
+    omega0 = SymmetricSet.from_signed(Z3, [0])
+    verdict = in_class(f, ClassSpec(omega0, SymmetricSet.empty(Z3)))
+    assert not verdict.member
+    assert [(c.condition, c.witness) for c in verdict.failures] == [("c", 1)]
+    assert verdict.failures[0].detail == (
+        f"negative value {f(1)!r} outside the minus set at {Z3.label(1)}"
+    )
+    assert in_class(f, ClassSpec(omega0, SymmetricSet.full(Z3))).member
+
+
 def test_discrete_variant_collapse_randomized():
     rng = np.random.default_rng(7)
     for _ in range(50):

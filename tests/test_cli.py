@@ -456,6 +456,45 @@ def test_sweep_outputs_table(tmp_path, capsys):
     assert [row["grid"] for row in payload["rows"]] == [32, 64]
 
 
+def test_sweep_single_grid(tmp_path, capsys):
+    code, stdout, _ = run_cli(
+        capsys,
+        "sweep", "--omega-plus", "[-1,1]", "--torus", "8", "--grid", "16",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert stdout.splitlines()[1].startswith("16,0.5,")
+    rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+    assert [row["grid"] for row in rows] == [16]
+
+
+@pytest.mark.parametrize("flag, count", [("--grid", "0"), ("--grid", "1"), ("--grid-list", "0")])
+def test_sweep_grid_below_two_names_the_count(tmp_path, capsys, flag, count):
+    code, stdout, err = run_cli(
+        capsys,
+        "sweep", "--omega-plus", "[-1,1]", "--torus", "8", flag, count,
+        "--out", str(tmp_path / "out"),
+    )
+    assert (code, stdout) == (cli.EXIT_INPUT_ERROR, "")
+    assert err == f"error: grid count must be at least 2, got {count}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_torus_solve_warns_on_a_set_that_is_not_boundary_coherent(tmp_path, capsys):
+    code, stdout, err = run_cli(
+        capsys,
+        "solve", "--torus", "8", "--grid", "16",
+        "--omega-plus", "(-2,-1)u(-1,1)u(1,2)", "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert stdout == "1\n"
+    assert err == (
+        "warning: set is not boundary-coherent: the grid problem models the "
+        "integral relaxation, not the real-line constant\n"
+    )
+    assert (tmp_path / "result.json").exists()
+
+
 def test_sweep_uncertified_exits_four(tmp_path, capsys, monkeypatch):
     violations = tuple(f"spectral[{k}]: primal row violated by 0.001" for k in range(4))
     real_sweep = cli.sweep

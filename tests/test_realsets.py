@@ -213,13 +213,13 @@ def test_literal_round_trip_keeps_infinite_ends():
 
 
 @st.composite
-def real_sets(draw) -> RealSet1D:
+def real_sets(draw, span: int = 12) -> RealSet1D:
     """Unions of up to four intervals with endpoints on a small rational
     grid; an outermost end is sometimes infinite."""
     den = draw(st.sampled_from([1, 2, 3]))
     pieces = []
     for _ in range(draw(st.integers(0, 4))):
-        a, b = sorted(draw(st.lists(st.integers(-12, 12), min_size=2, max_size=2,
+        a, b = sorted(draw(st.lists(st.integers(-span, span), min_size=2, max_size=2,
                                     unique=True)))
         left = None if draw(st.integers(0, 5)) == 0 else Fraction(a, den)
         right = None if draw(st.integers(0, 5)) == 0 else Fraction(b, den)
@@ -279,3 +279,31 @@ def test_interior_set_closure_chain(s):
     assert s.is_subset_of(closure(s))
     assert interior(s) == interior(interior(s))
     assert closure(s) == closure(closure(s))
+
+
+def probe_points(*sets: RealSet1D) -> list[Fraction]:
+    """Every endpoint of the sets, the midpoint of each pair of consecutive
+    endpoints and one point past each end: membership in any of the sets
+    is constant between consecutive probes."""
+    ends = sorted({x for s in sets for x in s.endpoints()})
+    if not ends:
+        return [Fraction(0)]
+    mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    return sorted(ends + mids + [ends[0] - 1, ends[-1] + 1])
+
+
+@SET_LAWS
+@given(real_sets(span=3), real_sets(span=3))  # a narrow grid makes ends tie
+def test_union_intersection_and_containment_match_pointwise_membership(a, b):
+    points = probe_points(a, b)
+    ends = set(a.endpoints() + b.endpoints())
+    union, meet = a.union(b), a.intersection(b)
+    both = [a.contains(x) and b.contains(x) for x in points]
+    for k, x in enumerate(points):
+        assert union.contains(x) == (a.contains(x) or b.contains(x)), x
+        # The intersection drops a point where a and b only touch: an
+        # endpoint in both sets with neither neighbouring probe in both.
+        isolated = x in ends and not any(both[max(k - 1, 0):k] + both[k + 1:k + 2])
+        assert meet.contains(x) == (both[k] and not isolated), x
+    assert a.is_subset_of(b) == all(b.contains(x) for x in points if a.contains(x))
+    assert b.is_subset_of(a) == all(a.contains(x) for x in points if b.contains(x))

@@ -224,6 +224,35 @@ def test_reduce_solves_each_distinct_problem_once(spec, solves, monkeypatch):
         assert report.both_generated is report.plus_generated
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ProblemSpec.turan(G43, SymmetricSet.from_signed(G43, [(0, 0), (1, 0), (3, 0)])),
+        ProblemSpec.delsarte(G43, SymmetricSet.from_signed(G43, [(0, 0), (1, 0), (3, 0)])),
+        ProblemSpec.turan(Z12, SymmetricSet.from_signed(Z12, [-4, 0, 4]), arithmetic=EXACT),
+        ProblemSpec.delsarte(Z12, SymmetricSet.from_signed(Z12, [-4, 0, 4]), arithmetic=EXACT),
+        ProblemSpec.general(Z12, SymmetricSet.from_signed(Z12, [-4, 0, 4]),
+                            SymmetricSet.from_signed(Z12, [6])),
+    ],
+    ids=["turan", "delsarte", "turan-exact", "delsarte-exact", "general"],
+)
+def test_subgroup_problems_keep_the_mode(spec):
+    # Restricting equal sets gives equal sets and the whole group gives
+    # the whole view, so the problem on a proper H is of the same kind as
+    # on G.  (A Delsarte minus set generates G itself.)
+    report = reduce_and_compare(spec)
+    assert report.plus_generated.subgroup_order < spec.group.size
+    for comp in (report.plus_generated, report.both_generated):
+        if comp.subgroup_order == spec.group.size:
+            continue
+        sub = comp.solution_subgroup.spec
+        assert sub.group.size == comp.subgroup_order
+        assert sub.mode == spec.mode
+        assert sub.arithmetic == spec.arithmetic
+        if spec.mode == "delsarte":
+            assert sub.omega_minus.is_full
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["turan", "delsarte", "general"]))
 def test_full_group_view_solves_like_the_group(seed, mode):

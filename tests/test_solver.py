@@ -993,3 +993,46 @@ def test_value_does_not_fall_when_omega_plus_grows(spec, seed):
     else:
         larger = ProblemSpec.general(group, plus, spec.omega_minus)
     assert solve(larger).value >= solve(spec).value - 1e-9
+
+
+@pytest.mark.parametrize("arithmetic", [FLOAT, EXACT])
+def test_general_torus_problem_with_a_full_minus_set_is_delsarte(arithmetic):
+    s, torus = parse_real_set("[-1,1]"), TorusSpec(Fraction(8), 16)
+    general, _ = solve_discretized(s, solver.FULL, torus, "general", arithmetic)
+    delsarte, _ = solve_discretized(s, None, torus, "delsarte", arithmetic)
+    assert general.spec.mode == "general" and general.spec.omega_minus.is_full
+    assert general.value == delsarte.value
+    assert general.value_exact == delsarte.value_exact
+
+
+def test_general_torus_problem_samples_a_real_minus_set():
+    s_plus, s_minus = parse_real_set("[-1,1]"), parse_real_set("(-5/2,5/2)")
+    torus = TorusSpec(Fraction(8), 32)
+    sol, _ = solve_discretized(s_plus, s_minus, torus, "general")
+    plus, minus = sample_set(s_plus, torus), sample_set(s_minus, torus)
+    group = plus.group
+    spec = ProblemSpec.general(
+        group,
+        SymmetricSet.from_signed(group, plus.signed_members),
+        SymmetricSet.from_signed(group, minus.signed_members),
+    )
+    assert sol.spec.omega_minus == spec.omega_minus
+    assert sol.value == solve(spec).value
+    assert sol.certificate_verdict.ok
+
+
+def test_out_of_memory_names_the_fourier_form(monkeypatch):
+    # Delsarte on Z8 with Ω₊ = {-1, 0, 1}: the Fourier form has a row for
+    # the identity and each orbit outside Ω₊ (2, 3, 4) and a variable per
+    # character orbit (0 to 4).
+    spec = ProblemSpec.delsarte(Z8, SymmetricSet.from_signed(Z8, [-1, 0, 1]))
+    rows, cols = build_fourier_form(spec).A.shape
+
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(solver, "build_fourier_form", exhausted)
+    with pytest.raises(MemoryError) as info:
+        solve(spec, "fourier")
+    assert (rows, cols) == (4, 5)
+    assert str(info.value) == "out of memory (fourier LP, 4 rows x 5 variables)"
